@@ -59,7 +59,6 @@ from .evolve import (
     write_trajectory_csv,
 )
 from .functionals import (
-    FunctionalReport,
     GNReport,
     IdentityReport,
     TildeValues,
@@ -68,7 +67,6 @@ from .functionals import (
     calE,
     calP,
     energy,
-    functional_report,
     gauge_from_w,
     gauge_to_w,
     gn_checks,

@@ -369,7 +369,7 @@ def cmd_minimize_mu(cfg: dict) -> int:
     _write_csv(run.path("mu.csv"), "mu,reference,rel_err,iterations,converged",
                [(repr(est.mu), repr(ref), repr(rel), est.iterations, int(est.converged))])
     run.metrics.update({"mu": est.mu, "reference": ref, "rel_err": rel,
-                        "iterations": est.iterations})
+                        "iterations": est.iterations, "trials": est.trials})
     run.check("converged", 1.0 if est.converged else 0.0, 1.0, est.converged)
     run.check("mu_matches_reference", rel, 1e-3, rel < 1e-3)
     return run.finish()

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Field, Params, modulate, validate_params
-from .errors import Inapplicable, ZeroField
+from .errors import BadExponents, Inapplicable, NotAdmissible, ZeroField
 from .functionals import action_S, energy, mass, momentum, virial_K
 from .variational import mu_reference
 
@@ -176,7 +176,7 @@ def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
         nonlocal tried, best_margin, best
         try:
             validate_params(p)
-        except Exception:
+        except (NotAdmissible, BadExponents):
             return None
         tried += 1
         s = action_S(u0, p)

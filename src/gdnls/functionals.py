@@ -33,8 +33,6 @@ __all__ = [
     "tilde_functionals",
     "IdentityReport",
     "identity_suite",
-    "FunctionalReport",
-    "functional_report",
     "gauge_to_w",
     "gauge_from_w",
     "calE",
@@ -222,32 +220,6 @@ def identity_suite(u: Field, p: Params) -> IdentityReport:
     )
 
     return IdentityReport(residuals, scales)
-
-
-@dataclass(frozen=True)
-class FunctionalReport:
-    mass: float
-    momentum: float
-    energy: float
-    nonlinear: float
-    action: float
-    virial: float
-    i_virial: float
-    tilde: TildeValues
-
-
-def functional_report(u: Field, p: Params) -> FunctionalReport:
-    """Everything at once, for dashboards and manifests."""
-    return FunctionalReport(
-        mass=mass(u),
-        momentum=momentum(u),
-        energy=energy(u, p.sigma),
-        nonlinear=nonlinear_N(u, p.sigma),
-        action=action_S(u, p),
-        virial=virial_K(u, p),
-        i_virial=I_functional(u, p),
-        tilde=tilde_functionals(u, p),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,19 @@ def test_minimize_mu_ground_state(outdir):
     assert row[4] == "1"  # converged
 
 
+def test_minimize_mu_default_grid_converges(tmp_path, monkeypatch):
+    monkeypatch.delenv("GDNLS_OUT", raising=False)
+    out = tmp_path / "mu"
+    assert main(["minimize-mu", "--out", str(out)]) == 0
+    man = _manifest(out)
+    assert man["config"]["grid"] == {"L": 60.0, "N": 4096}
+    converged = [c for c in man["checks"] if c["name"] == "converged"]
+    assert len(converged) == 1 and converged[0]["passed"]
+    metrics = man["metrics"]
+    assert metrics["iterations"] > 1
+    assert metrics["trials"] >= metrics["iterations"] - 1
+
+
 def test_simulate_soliton_checks_error_and_drift(outdir):
     code = main(["simulate", "--data.family", "soliton", "--grid.N", "1024",
                  "--scheme.T", "0.5", "--sample_every", "50"])

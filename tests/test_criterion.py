@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from gdnls import criterion
 from gdnls import (
     Certificate,
     Field,
@@ -90,6 +91,17 @@ def test_certify_rejects_degenerate_data():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         certify_global(Field(g, bad), SearchConfig())
+
+
+def test_certify_propagates_unexpected_validation_errors(monkeypatch):
+    # only inadmissible candidates are skipped; a bug in validation must surface
+    def broken(p):
+        raise RuntimeError("validation bug")
+
+    monkeypatch.setattr(criterion, "validate_params", broken)
+    u = _gaussian_with_mass(Grid(60.0, 1024), 3.0)
+    with pytest.raises(RuntimeError, match="validation bug"):
+        certify_global(u, SearchConfig(sigma=1.0))
 
 
 def test_certify_small_mass_scans_through():

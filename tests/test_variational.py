@@ -76,6 +76,10 @@ def test_minimize_config_validation():
 def test_estimate_mu_ground_state():
     est = estimate_mu(Params(1.0, 1.0, 0.0))
     assert est.converged
+    # the H^1 gradient step needs a few dozen iterations here; an explicit
+    # L^2 step, stable only below 1/max(k^2), needs thousands
+    assert est.iterations < 100
+    assert est.trials >= len(est.history) - 1  # every accepted move was a trial
     assert est.mu == pytest.approx(math.pi, rel=1e-3)
     # the two level readings (direct action, remainder functional) must agree
     assert est.mu_from_residue == pytest.approx(est.mu, rel=1e-6)
@@ -86,6 +90,14 @@ def test_estimate_mu_ground_state():
     # the minimizer's modulus should be the ground profile up to translation
     ref = profile_Phi(SolitonSpec(1.0, 1.0, 0.0), est.minimizer.grid)
     assert modulus_alignment_error(est.minimizer, ref) < 1e-2
+
+
+def test_estimate_mu_sigma2_negative_beta_converges():
+    # a point where the (omega - c^2/4 + k^2)^(-1) preconditioner stalls
+    p = Params(2.0, 1.0563, 0.5897, 1.0, -0.4776)
+    est = estimate_mu(p, MinimizeConfig(max_iters=2000))
+    assert est.converged
+    assert est.mu == pytest.approx(mu_reference(p), rel=1e-3)
 
 
 def test_mu_reference_closed_forms():
