@@ -41,7 +41,6 @@ from .errors import (
     IncompatibleModulation,
     NoBracket,
     NotAdmissible,
-    NotConverged,
     NotProjectable,
     Overflow,
     QuadratureFailure,
@@ -61,6 +60,7 @@ from .evolve import (
 from .functionals import (
     GNReport,
     IdentityReport,
+    Moments,
     TildeValues,
     action_S,
     agmon_ratio,
@@ -76,6 +76,7 @@ from .functionals import (
     identity_suite,
     I_functional,
     mass,
+    moments,
     momentum,
     nonlinear_N,
     tilde_functionals,

@@ -28,6 +28,7 @@ __all__ = [
     "quadrature",
     "lp_norm",
     "cumulative_integral",
+    "require_finite",
     "is_grid_compatible",
     "modulate",
     "save_field",
@@ -170,6 +171,12 @@ def lp_norm(f: Field, p: float) -> float:
     return float((f.grid.dx * np.sum(a**p)) ** (1.0 / p))
 
 
+def require_finite(f: Field, what: str) -> Field:
+    if not np.all(np.isfinite(f.values.view(float))):
+        raise ValueError(f"{what} contains non-finite values")
+    return f
+
+
 def cumulative_integral(f: Field) -> Field:
     """Antiderivative F(x) = int_0^x f, with F(0) = 0 at the central node.
 
@@ -228,4 +235,4 @@ def load_field(path: str) -> Field:
         doc = json.load(fh)
     grid = Grid(float(doc["L"]), int(doc["N"]))
     values = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    return Field(grid, values)
+    return require_finite(Field(grid, values), f"field file {path!r}")

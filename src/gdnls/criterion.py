@@ -17,9 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Field, Params, modulate, validate_params
+from .core import Field, Params, modulate, require_finite, validate_params
 from .errors import BadExponents, Inapplicable, NotAdmissible, ZeroField
-from .functionals import action_S, energy, mass, momentum, virial_K
+# action_S and virial_K are unused here; bench/tracer.py patches them by name
+from .functionals import Moments, action_S, energy, mass, moments, momentum, virial_K  # noqa: F401
 from .variational import mu_reference
 
 __all__ = [
@@ -119,19 +120,16 @@ class SearchConfig:
             raise ValueError(f"unknown strategy tag {self.strategy_hint!r}")
 
 
+def _classify(mom: Moments, p: Params, level: float) -> Membership:
+    s, k = mom.action(p), mom.virial(p)
+    kind = "Neither" if s > level else "KPlus" if k >= 0 else "KMinus"
+    return Membership(kind, s, level, k)
+
+
 def membership(u0: Field, p: Params) -> Membership:
     """Exact-comparison classification; ties land on the inclusive side."""
     validate_params(p)
-    s = action_S(u0, p)
-    level = mu_reference(p)
-    k = virial_K(u0, p)
-    if s > level:
-        kind = "Neither"
-    elif k >= 0:
-        kind = "KPlus"
-    else:
-        kind = "KMinus"
-    return Membership(kind, s, level, k)
+    return _classify(moments(u0, p.sigma), p, mu_reference(p))
 
 
 @lru_cache(maxsize=256)
@@ -159,18 +157,19 @@ def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
     admissible point with action <= level and virial >= 0 wins.  The endpoint
     tag records which mechanism made the data certifiable: small mass scans
     through, mass exactly at the borderline needs negative momentum, and
-    caller-constructed plane-wave data is tagged via the hint.
+    caller-constructed plane-wave data is tagged via the hint.  Each
+    candidate is scored by scalar algebra over one `moments` evaluation of u0.
     """
     if not np.any(u0.values):
         raise ZeroField("cannot certify the zero field")
-    if not np.all(np.isfinite(u0.values.view(float))):
-        raise ValueError("initial data contains non-finite values")
+    require_finite(u0, "initial data")
 
     speeds = _speed_grid(search, u0.grid.L)
     sig = search.sigma
+    mom = moments(u0, sig)
     tried = 0
     best_margin = math.inf
-    best: tuple[Params, float, float, float] | None = None
+    best: tuple[Params, Membership] | None = None
 
     def consider(p: Params) -> Membership | None:
         nonlocal tried, best_margin, best
@@ -179,16 +178,12 @@ def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
         except (NotAdmissible, BadExponents):
             return None
         tried += 1
-        s = action_S(u0, p)
-        level = _level(p.sigma, p.omega, p.c)
-        k = virial_K(u0, p)
-        margin = max(s - level, -k)
+        m = _classify(mom, p, _level(p.sigma, p.omega, p.c))
+        margin = max(m.action - m.level, -m.virial)
         if margin < best_margin:
             best_margin = margin
-            best = (p, s, level, k)
-        if s <= level and k >= 0:
-            return Membership("KPlus", s, level, k)
-        return None
+            best = (p, m)
+        return m if m.kind == "KPlus" else None
 
     for route in search.strategies:
         if route == "massless-scan":
@@ -196,7 +191,7 @@ def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
                 p = Params(sig, c * c / 4, c, 1.0, -0.5)
                 hit = consider(p)
                 if hit is not None:
-                    tag = search.strategy_hint or _endpoint_tag(u0, sig)
+                    tag = search.strategy_hint or _endpoint_tag(mom)
                     return Certificate(p, hit.action, hit.level, hit.virial, tag)
         else:
             for c in speeds:
@@ -210,15 +205,14 @@ def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
 
     if best is None:
         return NotFound(tried, math.inf, None, math.nan, math.nan, math.nan)
-    p, s, level, k = best
-    return NotFound(tried, best_margin, p, s, level, k)
+    p, m = best
+    return NotFound(tried, best_margin, p, m.action, m.level, m.virial)
 
 
-def _endpoint_tag(u0: Field, sigma: float) -> str:
+def _endpoint_tag(mom: Moments) -> str:
     """Which endpoint mechanism applies: borderline mass with leftward drift, or small mass."""
-    if sigma == 1.0:
-        m = mass(u0)
-        if abs(m - 4 * math.pi) <= 1e-6 * 4 * math.pi and momentum(u0) < 0:
+    if mom.sigma == 1.0:
+        if abs(mom.mass - 4 * math.pi) <= 1e-6 * 4 * math.pi and mom.momentum < 0:
             return "negative-momentum"
     return "massless-scan"
 

@@ -33,10 +33,6 @@ class NotProjectable(GdnlsError):
     """Field cannot be scaled onto the constraint set (wrong-sign split)."""
 
 
-class NotConverged(GdnlsError):
-    """Iteration ended in an unusable state."""
-
-
 class IncompatibleModulation(GdnlsError):
     """Requested plane-wave factor is not periodic on the grid."""
 

@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Field, Params, validate_params
+from .core import Field, Params, require_finite, validate_params
 from .criterion import Certificate
 from .errors import Overflow
-from .functionals import action_S, energy, mass, momentum, virial_K
+# energy, mass, momentum and virial_K are unused here; bench/tracer.py patches them by name
+from .functionals import action_S, energy, mass, moments, momentum, virial_K  # noqa: F401
 
 __all__ = [
     "SchemeConfig",
@@ -144,21 +145,13 @@ def _diagnostics(u: Field, t: float, p: Params, diag_p: Params, blowup: bool) ->
         with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             return replace(_diagnostics(u, t, p, diag_p, False), blowup=True)
-    vh = np.fft.fft(u.values)
-    w = u.grid.dx / u.grid.N
-    h1 = math.sqrt(w * float(np.sum(np.abs(u.grid.k_first * vh) ** 2)))
-    shifted = math.sqrt(
-        w * float(np.sum(np.abs((u.grid.k_first - diag_p.c / 2) * vh) ** 2))
-    )
+    mom = moments(u, p.sigma)
+    # ||u_x - (ic/2) u||^2 = ||u_x||^2 + c P + c^2 M / 4
+    shifted_sq = mom.grad_sq + diag_p.c * mom.momentum + 0.25 * diag_p.c**2 * mom.mass
     return DiagnosticsRecord(
-        t=t,
-        mass=mass(u),
-        energy=energy(u, p.sigma),
-        momentum=momentum(u),
-        h1_seminorm=h1,
-        shifted_h1=shifted,
-        virial=virial_K(u, diag_p),
-        blowup=blowup,
+        t=t, mass=mom.mass, energy=mom.energy(), momentum=mom.momentum,
+        h1_seminorm=math.sqrt(mom.grad_sq), shifted_h1=math.sqrt(max(shifted_sq, 0.0)),
+        virial=mom.virial(diag_p), blowup=blowup,
     )
 
 
@@ -172,13 +165,17 @@ def integrate(
     """March to cfg.T, sampling diagnostics every sample_every steps.
 
     The virial column uses the certificate's parameters when one is attached,
-    otherwise p.  Blow-up (overflow, non-finite values, or sup-norm growth
-    beyond 1e6 of the initial) truncates the trajectory: the last good field
-    is kept and the final record carries the blowup flag.
+    otherwise p; a certificate for another sigma is refused.  A fixed-step run
+    shortens its last step to end at T.  Blow-up (overflow, non-finite values,
+    or sup-norm growth beyond 1e6 of the initial) truncates the trajectory:
+    the last good field is kept and the final record carries the blowup flag.
     """
     validate_params(p)
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
+    require_finite(u0, "initial data")
+    if cert is not None and cert.params.sigma != p.sigma:
+        raise ValueError(f"certificate sigma={cert.params.sigma} differs from sigma={p.sigma}")
     diag_p = cert.params if cert is not None else p
     stepper = _Stepper(u0.grid, p.sigma, cfg.dt, cfg.dealias)
     amp0 = float(np.max(np.abs(u0.values)))
@@ -190,6 +187,10 @@ def integrate(
         amp0 = 1.0  # zero data never trips the growth cap
 
     n_steps = max(1, round(cfg.T / cfg.dt))
+    last_dt = cfg.dt
+    if not cfg.adaptive and abs(n_steps * cfg.dt - cfg.T) > 1e-12 * cfg.T:
+        n_steps = math.ceil(cfg.T / cfg.dt)
+        last_dt = cfg.T - (n_steps - 1) * cfg.dt
     # Adaptive runs march by time; a step budget keeps a collapsing dt from
     # spinning forever (clean truncation, not an error).
     budget = 20 * n_steps if cfg.adaptive else n_steps
@@ -203,8 +204,10 @@ def integrate(
             amp_now = float(np.max(np.abs(np.fft.ifft(uh))))
             cap = cfg.cfl_safety * u0.grid.dx / max(1.0, amp_now ** (2 * p.sigma))
             dt_new = min(cfg.dt, cap, cfg.T - t)
-            if dt_new != stepper.dt:
-                stepper.set_dt(dt_new)
+        else:
+            dt_new = last_dt if n == n_steps - 1 else cfg.dt
+        if dt_new != stepper.dt:
+            stepper.set_dt(dt_new)
         try:
             uh, amp = stepper.advance(uh)
         except Overflow:
@@ -219,7 +222,7 @@ def integrate(
                 records.append(rec)
             return Trajectory(times, fields, records)
         n += 1
-        t = t + stepper.dt if cfg.adaptive else n * cfg.dt
+        t = t + stepper.dt if cfg.adaptive else min(n * cfg.dt, cfg.T)
         if amp > _AMPLITUDE_CAP * amp0:
             u = Field(u0.grid, np.fft.ifft(uh))
             times.append(t)

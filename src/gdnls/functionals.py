@@ -8,6 +8,10 @@ and the action at speeds (omega, c) is S = E + (omega/2) M + (c/2) P.  The
 "tilde" family evaluates the same objects after removing the plane-wave factor
 exp(i c x / 2); all shifted quantities below use the operator d/dx - i c/2
 directly so no modulation is ever sampled on the grid.
+
+Energy, action, virial and the tilde family are scalar algebra over one
+`Moments` evaluation (one FFT pair); mass, momentum, nonlinear_N and
+identity_suite stay direct, so the identities compare two independent paths.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ __all__ = [
     "action_S",
     "virial_K",
     "I_functional",
+    "Moments",
+    "moments",
     "TildeValues",
     "tilde_functionals",
     "IdentityReport",
@@ -74,35 +80,85 @@ def nonlinear_N(u: Field, sigma: float) -> float:
     return u.grid.dx * float(np.sum(integrand.real))
 
 
+class Moments(NamedTuple):
+    """M, P, ||u_x||^2, N and ||u||_(2s+2)^(2s+2) of one field; read only at p.sigma == sigma."""
+
+    sigma: float
+    mass: float
+    momentum: float
+    grad_sq: float
+    nonlinear: float
+    pot: float
+
+    def energy(self) -> float:
+        return 0.5 * self.grad_sq - self.nonlinear / (2 * self.sigma + 2)
+
+    def action(self, p: Params) -> float:
+        return self.energy() + 0.5 * p.omega * self.mass + 0.5 * p.c * self.momentum
+
+    def virial(self, p: Params) -> float:
+        a, b, c = p.alpha, p.beta, p.c
+        return (
+            0.5 * (2 * a - b) * self.grad_sq
+            + (0.5 * (2 * a + b) * p.omega - 0.25 * c**2 * b) * self.mass
+            + 0.5 * (2 * a - b) * c * self.momentum
+            + b * c / (2 * (2 * self.sigma + 2)) * self.pot
+            - a * self.nonlinear
+        )
+
+    def split(self, p: Params) -> tuple[float, float]:
+        """Quadratic and superquadratic parts (A, B) of the modulation-removed virial."""
+        a, b, c, q, w = p.alpha, p.beta, p.c, 2 * self.sigma + 2, p.omega - p.c**2 / 4
+        A = 0.5 * (2 * a - b) * self.grad_sq + 0.5 * (2 * a + b) * w * self.mass
+        return A, (q * a + b) * c / (2 * q) * self.pot - a * self.nonlinear
+
+    def tilde(self, p: Params) -> TildeValues:
+        """Action, virial, and remainder with the moments read in the modulation-removed frame."""
+        A, B = self.split(p)
+        a, b, c, s = p.alpha, p.beta, p.c, self.sigma
+        w, q, g, m, pot = p.omega - c * c / 4, 2 * s + 2, self.grad_sq, self.mass, self.pot
+        act = 0.5 * g + 0.5 * w * m + c / (2 * q) * pot - self.nonlinear / q
+        res = 0.5 * (2 * s * a + b) * g + 0.5 * (2 * s * a - b) * w * m - b * c / (2 * q) * pot
+        return TildeValues(act, A + B, res)
+
+    def scaled(self, lam: float) -> "Moments":
+        """The moments of lam * u for real lam."""
+        l2, lq = lam * lam, abs(lam) ** (2 * self.sigma + 2)
+        return Moments(self.sigma, l2 * self.mass, l2 * self.momentum, l2 * self.grad_sq,
+                       lq * self.nonlinear, lq * self.pot)
+
+
+def moments(u: Field, sigma: float) -> Moments:
+    """All five integrals from one spectral derivative (one FFT pair)."""
+    v, du, dx = u.values, _deriv(u), u.grid.dx
+    a2 = v.real**2 + v.imag**2
+    cross = (np.conj(v) * du).imag  # P and N integrate Re(i z) = -Im(z)
+    ws = a2**sigma
+    sums = (a2, -cross, du.real**2 + du.imag**2, -ws * cross, ws * a2)
+    return Moments(sigma, *(dx * float(np.sum(f)) for f in sums))
+
+
 def energy(u: Field, sigma: float) -> float:
-    return 0.5 * _l2sq(u, _deriv(u)) - nonlinear_N(u, sigma) / (2 * sigma + 2)
+    return moments(u, sigma).energy()
 
 
 def action_S(u: Field, p: Params) -> float:
-    return energy(u, p.sigma) + 0.5 * p.omega * mass(u) + 0.5 * p.c * momentum(u)
+    return moments(u, p.sigma).action(p)
 
 
 def virial_K(u: Field, p: Params) -> float:
     """Scaling derivative of the action along e^(a*l) u(e^(-b*l) x) at l = 0."""
-    a, b, s = p.alpha, p.beta, p.sigma
-    grad_sq = _l2sq(u, _deriv(u))
-    return (
-        0.5 * (2 * a - b) * grad_sq
-        + (0.5 * (2 * a + b) * p.omega - 0.25 * p.c**2 * b) * mass(u)
-        + 0.5 * (2 * a - b) * p.c * momentum(u)
-        + b * p.c / (2 * (2 * s + 2)) * _lpp(u, 2 * s + 2)
-        - a * nonlinear_N(u, s)
-    )
+    return moments(u, p.sigma).virial(p)
 
 
 def I_functional(u: Field, p: Params) -> float:
     """Companion virial form without the L^(2s+2) term; equals virial_K when beta = 0."""
-    a, b = p.alpha, p.beta
+    a, b, m = p.alpha, p.beta, moments(u, p.sigma)
     return (
-        0.5 * (2 * a - b) * _l2sq(u, _deriv(u))
-        + 0.5 * (2 * a + b) * p.omega * mass(u)
-        + p.c * a * momentum(u)
-        - a * nonlinear_N(u, p.sigma)
+        0.5 * (2 * a - b) * m.grad_sq
+        + 0.5 * (2 * a + b) * p.omega * m.mass
+        + p.c * a * m.momentum
+        - a * m.nonlinear
     )
 
 
@@ -114,23 +170,7 @@ class TildeValues(NamedTuple):
 
 def tilde_functionals(psi: Field, p: Params) -> TildeValues:
     """Action, virial, and remainder in the frame with the c-modulation removed."""
-    a, b, s = p.alpha, p.beta, p.sigma
-    w = p.omega - p.c**2 / 4
-    grad_sq = _l2sq(psi, _deriv(psi))
-    m = mass(psi)
-    pot = _lpp(psi, 2 * s + 2)
-    n = nonlinear_N(psi, s)
-    act = 0.5 * grad_sq + 0.5 * w * m + p.c / (2 * (2 * s + 2)) * pot - n / (2 * s + 2)
-    vir = (
-        0.5 * (2 * a - b) * grad_sq
-        + 0.5 * (2 * a + b) * w * m
-        + ((2 * s + 2) * a + b) * p.c / (2 * (2 * s + 2)) * pot
-        - a * n
-    )
-    res = 0.5 * (2 * s * a + b) * grad_sq + 0.5 * (2 * s * a - b) * w * m - b * p.c / (
-        2 * (2 * s + 2)
-    ) * pot
-    return TildeValues(act, vir, res)
+    return moments(psi, p.sigma).tilde(p)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from scipy.optimize import minimize_scalar
 
 from .core import Field, Grid, Params, spectral_derivative, validate_params
 from .errors import NotProjectable, ZeroField
-from .functionals import action_S, tilde_functionals
+from .functionals import action_S, moments, tilde_functionals
 from .waves import SolitonSpec, closed_form_invariants, profile_phi
 
 __all__ = [
@@ -80,16 +80,7 @@ def homogeneity_split(psi: Field, p: Params) -> tuple[float, float]:
     """Quadratic and superquadratic parts of the constraint: K(l*psi) = l^2 A + l^(2s+2) B."""
     if not np.any(psi.values):
         raise ZeroField("split undefined for the zero field")
-    s = p.sigma
-    vals = tilde_functionals(psi, p)
-    w = p.omega - p.c**2 / 4
-    dx = psi.grid.dx
-    vh = np.fft.fft(psi.values)
-    grad_sq = dx / psi.grid.N * float(np.sum(np.abs(psi.grid.k_first * vh) ** 2))
-    m = dx / psi.grid.N * float(np.sum(np.abs(vh) ** 2))
-    A = 0.5 * (2 * p.alpha - p.beta) * grad_sq + 0.5 * (2 * p.alpha + p.beta) * w * m
-    B = vals.virial - A
-    return A, B
+    return moments(psi, p.sigma).split(p)
 
 
 def nehari_project(psi: Field, p: Params) -> Field:
@@ -146,19 +137,18 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
     kf = g.k_first
     dx = g.dx
 
-    def stilde(v: np.ndarray) -> float:
-        return tilde_functionals(Field(g, v), p).action
-
-    def project(v: np.ndarray) -> np.ndarray:
-        A, B = homogeneity_split(Field(g, v), p)
+    def project(v: np.ndarray) -> tuple[np.ndarray, float]:
+        """The rescaled field and its action, both from one moment evaluation of v."""
+        mom = moments(Field(g, v), s)
+        A, B = mom.split(p)
         if not (A > 0 and B < 0):
             raise NotProjectable(
                 f"descent left the projectable region: A={A:.3e}, B={B:.3e}"
             )
-        return (A / -B) ** (1 / (2 * s)) * v
+        lam = (A / -B) ** (1 / (2 * s))
+        return lam * v, mom.scaled(lam).tilde(p).action
 
-    v = project(psi.values)
-    s_now = stilde(v)
+    v, s_now = project(psi.values)
     eta = cfg.step if cfg.step is not None else 1.0
     history = [s_now]
     converged = False
@@ -182,11 +172,10 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
         while eta > 1e-12:
             trials += 1
             try:
-                trial = project(v - eta * d)
+                trial, s_trial = project(v - eta * d)
             except NotProjectable:
                 eta *= 0.5
                 continue
-            s_trial = stilde(trial)
             if s_trial <= s_now + 1e-12 * abs(s_now):
                 v, s_now = trial, s_trial
                 history.append(s_now)
@@ -197,7 +186,6 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
             break
 
     minimizer = Field(g, v)
-    A, B = homogeneity_split(minimizer, p)
     vals = tilde_functionals(minimizer, p)
     return MuEstimate(
         mu=vals.action,

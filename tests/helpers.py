@@ -37,3 +37,17 @@ def enveloped(grid, rng, modes=12, width=4.0, amplitude=1.0):
     vals = f.values * np.exp(-((grid.x / width) ** 2))
     vals = vals * (amplitude / np.max(np.abs(vals)))
     return Field(grid, vals)
+
+
+def count_ffts(monkeypatch):
+    """Count numpy.fft.fft and ifft calls from here on; returns a one-element list."""
+    calls = [0]
+    for name in ("fft", "ifft"):
+        inner = getattr(np.fft, name)
+
+        def counted(*args, _inner=inner, **kwargs):
+            calls[0] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

@@ -169,6 +169,18 @@ def test_simulate_from_field_file(outdir, tmp_path):
     assert "final_linf_error" not in man["metrics"]
 
 
+def test_simulate_rejects_non_finite_field_file(outdir, tmp_path, capsys):
+    g = Grid(60.0, 512)
+    vals = 0.5 * np.exp(-(g.x**2) / 2).astype(complex)
+    vals[100] = np.nan
+    path = tmp_path / "u0.json"
+    save_field(Field(g, vals), str(path))
+    code = main(["simulate", "--data.family", "file", "--data.file", str(path),
+                 "--grid.N", "512", "--scheme.T", "0.1"])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_zroot_single_sigma(outdir):
     assert main(["zroot", "--zroot.sigmas", "[1.5]"]) == 0
     rows = (outdir / "zroot.csv").read_text().splitlines()

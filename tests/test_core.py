@@ -133,6 +133,17 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+def test_load_field_rejects_non_finite_samples(tmp_path):
+    g = Grid(60.0, 64)
+    path = tmp_path / "field.json"
+    save_field(Field(g, np.ones(64)), str(path))
+    doc = json.loads(path.read_text())
+    doc["im"][7] = float("nan")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="non-finite"):
+        load_field(str(path))
+
+
 def test_validate_params_existence_region():
     validate_params(Params(1.0, 1.0, 0.0))
     validate_params(Params(2.0, 1.0, 2.0, 1.0, -0.5))  # endpoint, c > 0, beta < 0

@@ -5,6 +5,7 @@ lattice or the data recipes change.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from gdnls import (
     profile_phi,
     tilde_functionals,
 )
+from helpers import count_ffts
 
 
 def _gaussian_with_mass(g, mass_pi, boost=0.0):
@@ -165,6 +167,41 @@ def test_certify_not_found_keeps_best_margin():
     assert res.params is not None
     assert res.margin > 0
     assert res.margin == pytest.approx(0.3459, abs=2e-2)
+
+
+def _modulated_sigma2():
+    g = Grid(20 * math.pi, 1024)
+    return corollary15_data(Field(g, (1.2 * np.exp(-(g.x**2) / 4)).astype(complex)), 12.8)
+
+
+@pytest.mark.parametrize("build, search, expected", [
+    (lambda: _gaussian_with_mass(Grid(60.0, 1024), 3.9), SearchConfig(sigma=1.0),
+     (Params(1.0, 52.210207281762706, 14.451326206513048, 1.0, -0.5), "massless-scan")),
+    (lambda: _gaussian_with_mass(Grid(60.0, 1024), 4.0, boost=2 * math.pi * 5 / 60.0),
+     SearchConfig(sigma=1.0),
+     (Params(1.0, 12.676958541843662, 7.120943348136864, 1.0, -0.5), "negative-momentum")),
+    (_modulated_sigma2, SearchConfig(sigma=2.0, strategy_hint="modulation"),
+     (Params(2.0, 9.0, 6.0, 1.0, -0.5), "modulation")),
+    (lambda: _gaussian_with_mass(Grid(60.0, 1024), 4.5), SearchConfig(sigma=1.0),
+     (Params(1.0, 0.2741556778080377, 1.0471975511965976, 1.0, -0.5), 280)),
+])
+def test_certify_outcomes_pinned(build, search, expected):
+    # frozen from the search that evaluated every candidate on the arrays
+    params, tag = expected
+    res = certify_global(build(), search)
+    assert astuple(res.params) == pytest.approx(astuple(params), rel=1e-12)
+    if isinstance(tag, int):
+        assert isinstance(res, NotFound) and res.tried == tag
+    else:
+        assert isinstance(res, Certificate) and res.strategy == tag
+
+
+def test_certify_miss_integrates_the_data_once(monkeypatch):
+    u = _gaussian_with_mass(Grid(60.0, 1024), 4.5)
+    calls = count_ffts(monkeypatch)
+    res = certify_global(u, SearchConfig(sigma=1.0))
+    assert isinstance(res, NotFound) and res.tried == 280
+    assert calls[0] <= 4
 
 
 def test_guo_wu_bound_on_boosted_gaussian():

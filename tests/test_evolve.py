@@ -26,6 +26,8 @@ from gdnls import (
     traveling_wave,
     write_trajectory_csv,
 )
+from gdnls import evolve
+from helpers import count_ffts
 
 
 def test_scheme_config_validation():
@@ -181,3 +183,53 @@ def test_invariance_report_on_certified_run():
     assert rep.min_virial >= -rep.drift_scale
     assert rep.h1_max <= rep.h1_bound
     assert rep.action_drift < 1e-3
+
+
+def test_run_ends_at_T_when_dt_does_not_divide_it():
+    g = Grid(60.0, 1024)
+    spec = SolitonSpec(1.0, 1.0, 0.0)
+    phi = profile_phi(spec, g)
+    for T in (0.0004, 0.0106):
+        traj = integrate(phi, SchemeConfig(dt=1e-3, T=T), Params(1.0, 1.0, 0.0), sample_every=1)
+        assert abs(traj.times[-1] - T) <= 1e-12 * T
+        assert np.all(np.diff(traj.times) > 0)
+        # the shortened last step is a true step of that length: the state is the wave at T
+        exact = traveling_wave(spec, g, T)
+        assert float(np.max(np.abs(traj.final.values - exact.values))) < 1e-8
+
+
+def test_whole_number_of_steps_keeps_the_step_grid():
+    g = Grid(60.0, 256)
+    phi = profile_phi(SolitonSpec(1.0, 1.0, 0.0), g)
+    traj = integrate(phi, SchemeConfig(dt=1e-3, T=0.01), Params(1.0, 1.0, 0.0), sample_every=1)
+    assert traj.times == [n * 1e-3 for n in range(11)]
+
+
+def test_integrate_rejects_non_finite_data():
+    g = Grid(60.0, 64)
+    bad = np.exp(-(g.x**2)).astype(complex)
+    bad[5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        integrate(Field(g, bad), SchemeConfig(dt=1e-3, T=0.01), Params(1.0, 1.0, 0.0))
+
+
+def test_integrate_rejects_certificate_for_another_power():
+    g = Grid(20 * math.pi, 256)
+    u = Field(g, 0.5 * np.exp(-(g.x**2)).astype(complex))
+    cert = Certificate(Params(2.0, 9.0, 6.0, 1.0, -0.5), 1.0, 2.0, 1.0, "modulation")
+    with pytest.raises(ValueError, match="sigma"):
+        integrate(u, SchemeConfig(dt=1e-3, T=0.01), Params(1.0, 1.0, 0.0), cert=cert)
+
+
+def test_diagnostics_record_integrates_the_field_once(monkeypatch):
+    g = Grid(60.0, 1024)
+    u = profile_phi(SolitonSpec(1.0, 1.0, 0.0), g)
+    p = Params(1.0, 1.0, 0.0)
+    diag_p = Params(1.0, 4.0, 2.0, 1.0, -0.5)
+    calls = count_ffts(monkeypatch)
+    rec = evolve._diagnostics(u, 0.0, p, diag_p, False)
+    assert calls[0] <= 3
+    # the shifted seminorm from the moments against its spectrum, ||(k - c/2) u^||
+    vh = np.fft.fft(u.values)
+    shifted = math.sqrt(g.dx / g.N * float(np.sum(np.abs((g.k_first - 1.0) * vh) ** 2)))
+    assert rec.shifted_h1 == pytest.approx(shifted, rel=1e-12)

@@ -30,6 +30,7 @@ from gdnls import (
     identity_suite,
     mass,
     modulate,
+    moments,
     momentum,
     nonlinear_N,
     profile_Phi,
@@ -69,6 +70,44 @@ def test_virial_matches_companion_at_beta_zero(grid):
     u = band_limited(grid, np.random.default_rng(4))
     p = Params(2.0, 1.3, -0.7, 1.5, 0.0)
     assert virial_K(u, p) == pytest.approx(I_functional(u, p), rel=1e-12)
+
+
+def _direct(u, p):
+    """Energy, action and virial from their array formulas."""
+    s, a, b, c = p.sigma, p.alpha, p.beta, p.c
+    v = u.values
+    du = np.fft.ifft(1j * u.grid.k_first * np.fft.fft(v))
+    dx = u.grid.dx
+    grad_sq = dx * np.sum(np.abs(du) ** 2)
+    m = dx * np.sum(np.abs(v) ** 2)
+    mom = dx * np.sum((1j * du * np.conj(v)).real)
+    n = dx * np.sum((1j * np.abs(v) ** (2 * s) * np.conj(v) * du).real)
+    pot = dx * np.sum(np.abs(v) ** (2 * s + 2))
+    e = 0.5 * grad_sq - n / (2 * s + 2)
+    k = (
+        0.5 * (2 * a - b) * grad_sq
+        + (0.5 * (2 * a + b) * p.omega - 0.25 * c**2 * b) * m
+        + 0.5 * (2 * a - b) * c * mom
+        + b * c / (2 * (2 * s + 2)) * pot
+        - a * n
+    )
+    return e, e + 0.5 * p.omega * m + 0.5 * c * mom, k
+
+
+def test_moments_match_direct_array_formulas(grid):
+    rng = np.random.default_rng(11)
+    for p in PARAM_POOL:
+        u = band_limited(grid, rng, amplitude=0.5 + 1.5 * rng.random())
+        got = (energy(u, p.sigma), action_S(u, p), virial_K(u, p))
+        assert got == pytest.approx(_direct(u, p), rel=1e-12)
+
+
+def test_scaled_moments_are_the_moments_of_the_scaled_field(grid):
+    u = band_limited(grid, np.random.default_rng(13))
+    for sigma in (1.0, 2.5):
+        got = moments(u, sigma).scaled(-1.7)
+        want = moments(u.with_values(-1.7 * u.values), sigma)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_identity_suite_randomized(grid):
