@@ -13,11 +13,9 @@ from .core import (
     Params,
     cumulative_integral,
     is_grid_compatible,
-    is_massless,
     load_field,
-    lp_norm,
     modulate,
-    quadrature,
+    require_admissible,
     save_field,
     spectral_derivative,
     validate_params,
@@ -54,7 +52,6 @@ from .evolve import (
     Trajectory,
     integrate,
     invariance_check,
-    step,
     write_trajectory_csv,
 )
 from .functionals import (
@@ -85,12 +82,10 @@ from .functionals import (
 from .variational import (
     MinimizeConfig,
     MuEstimate,
-    default_initial,
     estimate_mu,
     homogeneity_split,
     modulus_alignment_error,
     mu_reference,
-    nehari_project,
 )
 from .waves import (
     ClosedFormInvariants,

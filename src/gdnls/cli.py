@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -20,11 +21,11 @@ from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
-from .core import Field, Grid, Params, load_field, save_field
+from .core import Field, Grid, Params, is_grid_compatible, load_field, save_field
 from .criterion import Certificate, SearchConfig, certify_global, corollary15_data, membership
 from .errors import GdnlsError
 from .evolve import SchemeConfig, integrate, write_trajectory_csv
-from .functionals import gn_checks, identity_suite, mass
+from .functionals import action_S, energy, gn_checks, identity_suite, mass, momentum
 from .variational import MinimizeConfig, estimate_mu, mu_reference
 from .waves import (
     F_sigma,
@@ -36,7 +37,6 @@ from .waves import (
     traveling_wave,
     z0_root,
 )
-from .functionals import action_S, energy, momentum
 
 __all__ = ["main"]
 
@@ -179,7 +179,7 @@ def _initial_data(cfg: dict, grid: Grid) -> Field:
     vals = vals.astype(complex)
     boost = float(d["boost"])
     if boost:
-        if abs(boost * grid.L / (2 * math.pi) - round(boost * grid.L / (2 * math.pi))) > 1e-9:
+        if not is_grid_compatible(grid, 2 * boost):
             raise ConfigError(f"data.boost {boost} is not periodic on L={grid.L}")
         vals = vals * np.exp(1j * boost * x)
     u = Field(grid, vals)
@@ -328,9 +328,7 @@ def cmd_certify(cfg: dict) -> int:
 
     if isinstance(result, Certificate):
         doc = {
-            "params": {"sigma": result.params.sigma, "omega": result.params.omega,
-                       "c": result.params.c, "alpha": result.params.alpha,
-                       "beta": result.params.beta},
+            "params": dataclasses.asdict(result.params),
             "action": result.action, "level": result.level, "virial": result.virial,
             "strategy": result.strategy,
         }
@@ -344,10 +342,7 @@ def cmd_certify(cfg: dict) -> int:
     else:
         doc = {"tried": result.tried, "margin": result.margin,
                "action": result.action, "level": result.level, "virial": result.virial,
-               "params": None if result.params is None else {
-                   "sigma": result.params.sigma, "omega": result.params.omega,
-                   "c": result.params.c, "alpha": result.params.alpha,
-                   "beta": result.params.beta}}
+               "params": None if result.params is None else dataclasses.asdict(result.params)}
         with open(run.path("notfound.json"), "w") as fh:
             json.dump(doc, fh, indent=2)
         run.metrics["found"] = False

@@ -22,11 +22,9 @@ __all__ = [
     "Grid",
     "Field",
     "Params",
+    "require_admissible",
     "validate_params",
-    "is_massless",
     "spectral_derivative",
-    "quadrature",
-    "lp_norm",
     "cumulative_integral",
     "require_finite",
     "is_grid_compatible",
@@ -44,8 +42,8 @@ class Grid:
     N: int
 
     def __post_init__(self) -> None:
-        if not self.L > 0:
-            raise ValueError(f"box length must be positive, got L={self.L}")
+        if not (self.L > 0 and math.isfinite(self.L)):
+            raise ValueError(f"box length must be positive and finite, got L={self.L}")
         n = self.N
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 16, got N={n}")
@@ -74,6 +72,13 @@ class Grid:
         k[self.N // 2] = 0.0
         k.setflags(write=False)
         return k
+
+    @cached_property
+    def ik_first(self) -> np.ndarray:
+        """The first-derivative symbol 1j * k_first."""
+        ik = 1j * self.k_first
+        ik.setflags(write=False)
+        return ik
 
 
 @dataclass(frozen=True)
@@ -118,26 +123,26 @@ class Params:
     beta: float = 0.0
 
 
-def is_massless(p: Params) -> bool:
-    """Endpoint case omega = c^2/4 (the profile then decays only algebraically)."""
-    return p.omega == p.c * p.c / 4
+def require_admissible(sigma: float, omega: float, c: float) -> bool:
+    """Check sigma >= 1 and omega > c^2/4, or the endpoint omega = c^2/4 with c > 0; True there."""
+    if not sigma >= 1:
+        raise ValueError(f"sigma must be >= 1, got {sigma}")
+    quarter = c * c / 4
+    if omega < quarter:
+        raise NotAdmissible(f"need omega >= c^2/4: omega={omega}, c^2/4={quarter}")
+    endpoint = omega == quarter
+    if endpoint and not c > 0:
+        raise NotAdmissible(f"endpoint omega = c^2/4 requires c > 0, got c={c}")
+    return endpoint
 
 
 def validate_params(p: Params) -> Params:
     """Check the existence region for (omega, c) and the sign conditions on (alpha, beta).
 
-    Existence requires omega > c^2/4, or omega = c^2/4 with c > 0.  The
-    virial pair must satisfy 2*alpha - beta > 0 and 2*alpha + beta > 0,
+    The virial pair must satisfy 2*alpha - beta > 0 and 2*alpha + beta > 0,
     together with beta*c <= 0 (interior case) or beta < 0 (endpoint case).
     """
-    if not p.sigma >= 1:
-        raise ValueError(f"sigma must be >= 1, got {p.sigma}")
-    quarter = p.c * p.c / 4
-    if p.omega < quarter:
-        raise NotAdmissible(f"need omega >= c^2/4: omega={p.omega}, c^2/4={quarter}")
-    endpoint = p.omega == quarter
-    if endpoint and not p.c > 0:
-        raise NotAdmissible(f"endpoint omega = c^2/4 requires c > 0, got c={p.c}")
+    endpoint = require_admissible(p.sigma, p.omega, p.c)
     if not 2 * p.alpha - p.beta > 0:
         raise BadExponents(f"need 2*alpha - beta > 0: alpha={p.alpha}, beta={p.beta}")
     if not 2 * p.alpha + p.beta > 0:
@@ -150,25 +155,13 @@ def validate_params(p: Params) -> Params:
     return p
 
 
-def spectral_derivative(f: Field) -> Field:
-    """d/dx via FFT, exact for band-limited fields."""
-    vhat = np.fft.fft(f.values)
-    return f.with_values(np.fft.ifft(1j * f.grid.k_first * vhat))
-
-
-def quadrature(f: Field) -> float:
-    """Riemann-sum integral of the real part over the box."""
-    return f.grid.dx * float(np.sum(f.values.real))
-
-
-def lp_norm(f: Field, p: float) -> float:
-    """L^p norm by quadrature; p = inf is the grid maximum of |f|."""
-    a = np.abs(f.values)
-    if math.isinf(p):
-        return float(np.max(a))
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    return float((f.grid.dx * np.sum(a**p)) ** (1.0 / p))
+def spectral_derivative(grid: Grid, vhat: np.ndarray, order: int = 1) -> np.ndarray:
+    """d/dx (order 1) or d^2/dx^2 (order 2) of the field whose unnormalized spectrum is vhat."""
+    if order == 1:
+        return np.fft.ifft(grid.ik_first * vhat)
+    if order == 2:
+        return np.fft.ifft(-grid.k**2 * vhat)
+    raise ValueError(f"order must be 1 or 2, got {order}")
 
 
 def require_finite(f: Field, what: str) -> Field:
@@ -189,7 +182,7 @@ def cumulative_integral(f: Field) -> Field:
     m = float(np.mean(v))
     vhat = np.fft.fft(v - m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ghat = np.where(g.k_first != 0, vhat / (1j * g.k_first), 0.0)
+        ghat = np.where(g.k_first != 0, vhat / g.ik_first, 0.0)
     ghat[0] = 0.0
     G = np.fft.ifft(ghat).real
     # x = 0 sits at node N/2 because N is even.

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Field, Params, cumulative_integral
+from .core import Field, Params, cumulative_integral, spectral_derivative
 from .errors import ZeroField
 
 __all__ = [
@@ -52,12 +52,13 @@ __all__ = [
 ]
 
 
-def _deriv(u: Field) -> np.ndarray:
-    return np.fft.ifft(1j * u.grid.k_first * np.fft.fft(u.values))
-
-
 def _l2sq(u: Field, v: np.ndarray) -> float:
     return u.grid.dx * float(np.sum(np.abs(v) ** 2))
+
+
+def _grad_sq(u: Field) -> float:
+    """||u_x||^2."""
+    return _l2sq(u, spectral_derivative(u.grid, np.fft.fft(u.values)))
 
 
 def _lpp(u: Field, p: float) -> float:
@@ -70,12 +71,12 @@ def mass(u: Field) -> float:
 
 
 def momentum(u: Field) -> float:
-    du = _deriv(u)
+    du = spectral_derivative(u.grid, np.fft.fft(u.values))
     return u.grid.dx * float(np.sum((1j * du * np.conj(u.values)).real))
 
 
 def nonlinear_N(u: Field, sigma: float) -> float:
-    du = _deriv(u)
+    du = spectral_derivative(u.grid, np.fft.fft(u.values))
     integrand = 1j * np.abs(u.values) ** (2 * sigma) * np.conj(u.values) * du
     return u.grid.dx * float(np.sum(integrand.real))
 
@@ -130,7 +131,8 @@ class Moments(NamedTuple):
 
 def moments(u: Field, sigma: float) -> Moments:
     """All five integrals from one spectral derivative (one FFT pair)."""
-    v, du, dx = u.values, _deriv(u), u.grid.dx
+    v, dx = u.values, u.grid.dx
+    du = spectral_derivative(u.grid, np.fft.fft(v))
     a2 = v.real**2 + v.imag**2
     cross = (np.conj(v) * du).imag  # P and N integrate Re(i z) = -Im(z)
     ws = a2**sigma
@@ -200,7 +202,7 @@ def identity_suite(u: Field, p: Params) -> IdentityReport:
     a, b, s = p.alpha, p.beta, p.sigma
     c = p.c
     w = p.omega - c * c / 4
-    du = _deriv(u)
+    du = spectral_derivative(u.grid, np.fft.fft(u.values))
     shifted = du - 0.5j * c * u.values
     grad_sq = _l2sq(u, du)
     shift_sq = _l2sq(u, shifted)
@@ -284,7 +286,7 @@ def gauge_from_w(w: Field) -> Field:
 
 def calE(w: Field) -> float:
     """Energy seen in the gauge frame: ||w_x||^2/2 - ||w||_6^6/32."""
-    return 0.5 * _l2sq(w, _deriv(w)) - _lpp(w, 6.0) / 32.0
+    return 0.5 * _grad_sq(w) - _lpp(w, 6.0) / 32.0
 
 
 def calP(w: Field) -> float:
@@ -318,14 +320,14 @@ def agmon_ratio(f: Field, p: float = 1.0) -> float:
     _nonzero(f)
     sup = float(np.max(np.abs(f.values)))
     lq = _lpp(f, 4 * p - 2) ** (1.0 / (4 * p - 2))
-    grad = math.sqrt(_l2sq(f, _deriv(f)))
+    grad = math.sqrt(_grad_sq(f))
     return sup ** (2 * p) / (2 * p * lq ** (2 * p - 1) * grad)
 
 
 def gn1_ratio(f: Field) -> float:
     """||f||_6^6 over (4/pi^2) ||f||_2^4 ||f_x||_2^2; equality at the c = 0 wave."""
     _nonzero(f)
-    return _lpp(f, 6.0) / (4 / math.pi**2 * mass(f) ** 2 * _l2sq(f, _deriv(f)))
+    return _lpp(f, 6.0) / (4 / math.pi**2 * mass(f) ** 2 * _grad_sq(f))
 
 
 def gn2_ratio(f: Field) -> float:
@@ -335,7 +337,7 @@ def gn2_ratio(f: Field) -> float:
         3
         * (2 * math.pi) ** (-2 / 3)
         * _lpp(f, 4.0) ** (4 / 3)
-        * _l2sq(f, _deriv(f)) ** (1 / 3)
+        * _grad_sq(f) ** (1 / 3)
     )
     return _lpp(f, 6.0) / denom
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from .core import Field, Grid, Params, spectral_derivative, validate_params
+from .core import Field, Grid, Params, require_admissible, spectral_derivative, validate_params
 from .errors import NotProjectable, ZeroField
 from .functionals import action_S, moments, tilde_functionals
 from .waves import SolitonSpec, closed_form_invariants, profile_phi
@@ -31,8 +31,6 @@ __all__ = [
     "MinimizeConfig",
     "MuEstimate",
     "homogeneity_split",
-    "nehari_project",
-    "default_initial",
     "estimate_mu",
     "mu_reference",
     "modulus_alignment_error",
@@ -83,26 +81,7 @@ def homogeneity_split(psi: Field, p: Params) -> tuple[float, float]:
     return moments(psi, p.sigma).split(p)
 
 
-def nehari_project(psi: Field, p: Params) -> Field:
-    """Rescale psi onto the zero set of the constraint; needs A > 0 > B."""
-    A, B = homogeneity_split(psi, p)
-    # for nearly real data the superquadratic part is a difference of
-    # cancelling sums, so its sign only means something above the roundoff
-    # mass of everything that entered it
-    a = np.abs(psi.values)
-    da = np.abs(spectral_derivative(psi).values)
-    n_abs = psi.grid.dx * float(np.sum(a ** (2 * p.sigma + 1) * da))
-    pot = psi.grid.dx * float(np.sum(a ** (2 * p.sigma + 2)))
-    floor = 64 * np.finfo(float).eps * (
-        abs(A) + p.alpha * n_abs + abs(p.beta * p.c) / (4 * p.sigma + 4) * pot
-    )
-    if not (A > 0 and B < -floor):
-        raise NotProjectable(f"cannot scale onto the constraint set: A={A:.3e}, B={B:.3e}")
-    lam = (A / -B) ** (1 / (2 * p.sigma))
-    return psi.with_values(lam * psi.values)
-
-
-def default_initial(p: Params, grid: Grid) -> Field:
+def _default_initial(p: Params, grid: Grid) -> Field:
     """Inflated, slightly perturbed exact minimizer with its modulation removed.
 
     The plane-wave factor is sampled directly: the envelope decays at the box
@@ -129,12 +108,11 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
     if cfg.initial is not None:
         psi = cfg.initial
     else:
-        psi = default_initial(p, cfg.grid if cfg.grid is not None else Grid(20 * math.pi, 512))
+        psi = _default_initial(p, cfg.grid if cfg.grid is not None else Grid(20 * math.pi, 512))
     g = psi.grid
     s = p.sigma
     b = p.omega - p.c**2 / 4
     k2 = g.k**2
-    kf = g.k_first
     dx = g.dx
 
     def project(v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -158,7 +136,7 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
         # The gradient is assembled and normed in Fourier space (Parseval),
         # so only the nonlinear term makes a round trip through x.
         vh = np.fft.fft(v)
-        dv = np.fft.ifft(1j * kf * vh)
+        dv = spectral_derivative(g, vh)
         w = np.abs(v) ** (2 * s)
         grad_h = (k2 + b) * vh + np.fft.fft(w * (0.5 * p.c * v - 1j * dv))
         gnorm = math.sqrt(dx / g.N * float(np.sum(np.abs(grad_h) ** 2)))
@@ -244,12 +222,10 @@ def mu_reference(p: Params) -> float:
     exponential-decay box away from the endpoint, closed-form half-line
     integrals at it).
     """
-    quarter = p.c**2 / 4
-    if p.omega < quarter or (p.omega == quarter and not p.c > 0):
-        raise ValueError(f"(omega, c)=({p.omega}, {p.c}) outside the existence region")
+    endpoint = require_admissible(p.sigma, p.omega, p.c)
     if p.sigma == 1.0:
         return closed_form_invariants(p.omega, p.c).action
-    if p.omega == quarter:
+    if endpoint:
         return p.c ** (1 + 1 / p.sigma) * _endpoint_base_level(p.sigma)
     rate = math.sqrt(4 * p.omega - p.c**2)
     L = max(60.0, 100.0 / rate)

@@ -6,7 +6,8 @@ The amplitude solves the profile equation
 
 (s = sigma), with two branches: a cosh-based profile for omega > c^2/4 and an
 algebraically decaying one at the endpoint omega = c^2/4, c > 0.  The full
-complex wave attaches the phase c*x/2 - (2s+2)^{-1} * int_0^x Phi^(2s).
+complex wave attaches the phase c*x/2 - (2s+2)^{-1} * int_0^x Phi^(2s), which
+has a closed form on both branches.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .core import Field, Grid, Params, cumulative_integral
-from .errors import BoundaryProximity, NoBracket, NotAdmissible, QuadratureFailure, SigmaUnsupported
+from .core import Field, Grid, Params, require_admissible, spectral_derivative
+from .errors import BoundaryProximity, NoBracket, QuadratureFailure, SigmaUnsupported
 
 __all__ = [
     "SolitonSpec",
@@ -52,13 +53,7 @@ class SolitonSpec:
     theta0: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.sigma >= 1:
-            raise ValueError(f"sigma must be >= 1, got {self.sigma}")
-        quarter = self.c * self.c / 4
-        if self.omega < quarter:
-            raise NotAdmissible(f"need omega >= c^2/4: omega={self.omega}, c={self.c}")
-        if self.omega == quarter and not self.c > 0:
-            raise NotAdmissible(f"endpoint omega = c^2/4 requires c > 0, got c={self.c}")
+        require_admissible(self.sigma, self.omega, self.c)
         object.__setattr__(self, "theta0", self.theta0 % (2 * math.pi))
 
     @property
@@ -102,25 +97,25 @@ def profile_Phi(spec: SolitonSpec, grid: Grid) -> Field:
     return f
 
 
-def _sampled_wave(spec: SolitonSpec, grid: Grid, shift: float, phase0: float) -> Field:
-    """Phi(x - shift) * exp(i*(c/2)(x - shift) - i*I(x - shift)/(2s+2) + i*phase0).
+def _phase_integral(spec: SolitonSpec, y: np.ndarray) -> np.ndarray:
+    """I(y)/(2s+2) with I(y) = int_0^y Phi^(2s), in closed form on both branches.
 
-    I(z) = int_0^z Phi^(2*sigma).  The grid carries int_0^x of the shifted
-    amplitude; the remaining constant I(-shift) is a scalar 1-D quadrature of
-    the closed form, so off-grid shifts lose no accuracy.
+    From int dx/(a cosh x - c) = 2/sqrt(a^2 - c^2) * arctan(sqrt((a+c)/(a-c)) tanh(x/2))
+    at a = 2 sqrt(omega); the endpoint integrand is a scaled 1/(1 + x^2).
     """
+    s, w, c = spec.sigma, spec.omega, spec.c
+    if spec.massless:
+        return np.arctan(s * c * y) / s
+    r = math.sqrt(4 * w - c * c)
+    q = math.sqrt((2 * math.sqrt(w) + c) / (2 * math.sqrt(w) - c))
+    return np.arctan(q * np.tanh(0.5 * s * r * y)) / s
+
+
+def _sampled_wave(spec: SolitonSpec, grid: Grid, shift: float, phase0: float) -> Field:
+    """Phi(y) * exp(i*(c/2) y - i*I(y)/(2s+2) + i*phase0) at y = x - shift."""
     y = grid.x - shift
-    amp = _amplitude(spec, y)
-    pw = Field(grid, _amplitude_power(spec, y), slow_decay=spec.massless)
-    run = cumulative_integral(pw).values.real
-    if shift != 0.0:
-        off, err = quad(lambda t: float(_amplitude_power(spec, np.asarray(t))), 0.0, -shift)
-        if not math.isfinite(off) or err > 1e-9 * (1 + abs(off)):
-            raise QuadratureFailure(f"phase offset integral failed: value={off}, err={err}")
-    else:
-        off = 0.0
-    phase = 0.5 * spec.c * y - (run + off) / (2 * spec.sigma + 2) + phase0
-    f = Field(grid, amp * np.exp(1j * phase), slow_decay=spec.massless)
+    phase = 0.5 * spec.c * y - _phase_integral(spec, y) + phase0
+    f = Field(grid, _amplitude(spec, y) * np.exp(1j * phase), slow_decay=spec.massless)
     _warn_edge(f, "profile")
     return f
 
@@ -135,17 +130,13 @@ def traveling_wave(spec: SolitonSpec, grid: Grid, t: float) -> Field:
     return _sampled_wave(spec, grid, spec.x0 + spec.c * t, spec.theta0 + spec.omega * t)
 
 
-def _second_derivative(f: Field) -> np.ndarray:
-    return np.fft.ifft(-f.grid.k**2 * np.fft.fft(f.values))
-
-
 def elliptic_residual(Phi: Field, p: Params) -> float:
     """L^2 norm of the profile-equation residual at the given parameters."""
     s = p.sigma
     a = Phi.values
     absa = np.abs(a)
     r = (
-        -_second_derivative(Phi)
+        -spectral_derivative(Phi.grid, np.fft.fft(a), order=2)
         + (p.omega - p.c * p.c / 4) * a
         + 0.5 * p.c * absa ** (2 * s) * a
         - (2 * s + 1) / (2 * s + 2) ** 2 * absa ** (4 * s) * a
@@ -165,9 +156,8 @@ def first_integral_residual(Phi: Field, p: Params) -> float:
     where the last coefficient uses (2s+1)/(4s+2) = 1/2.
     """
     s = p.sigma
-    g = Phi.grid
     a = Phi.values.real
-    da = np.fft.ifft(1j * g.k_first * np.fft.fft(a)).real
+    da = spectral_derivative(Phi.grid, np.fft.fft(a)).real
     G = (
         -0.5 * da**2
         + 0.5 * (p.omega - p.c * p.c / 4) * a**2
@@ -188,10 +178,7 @@ def closed_form_invariants(omega: float, c: float, sigma: float = 1.0) -> Closed
     """Exact mass/momentum/energy/action of the solitary wave (sigma = 1 only)."""
     if sigma != 1.0:
         raise SigmaUnsupported(f"closed forms only available for sigma = 1, got {sigma}")
-    quarter = c * c / 4
-    if omega < quarter or (omega == quarter and not c > 0):
-        raise NotAdmissible(f"omega={omega}, c={c} outside the existence region")
-    if omega == quarter:
+    if require_admissible(sigma, omega, c):
         mass = 4 * math.pi
         momentum = 0.0
         energy = 0.0

@@ -181,6 +181,14 @@ def test_simulate_rejects_non_finite_field_file(outdir, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_simulate_rejects_non_finite_scheme_and_grid(outdir, capsys):
+    # each is refused where it enters, before any stepping or sampling
+    for key, what in (("--scheme.dt", "dt"), ("--scheme.T", "T"), ("--grid.L", "box length")):
+        assert main(["simulate", key, "Infinity", "--grid.N", "512"]) == 2
+        assert f"{what} must be positive and finite" in capsys.readouterr().err
+    assert not (outdir / "manifest.json").exists()
+
+
 def test_zroot_single_sigma(outdir):
     assert main(["zroot", "--zroot.sigmas", "[1.5]"]) == 0
     rows = (outdir / "zroot.csv").read_text().splitlines()

@@ -15,11 +15,9 @@ from gdnls import (
     Params,
     cumulative_integral,
     is_grid_compatible,
-    is_massless,
     load_field,
-    lp_norm,
     modulate,
-    quadrature,
+    require_admissible,
     save_field,
     spectral_derivative,
     validate_params,
@@ -41,8 +39,9 @@ def test_grid_rejects_bad_sizes():
     for n in (100, 8, 0):
         with pytest.raises(ValueError):
             Grid(60.0, n)
-    with pytest.raises(ValueError):
-        Grid(0.0, 64)
+    for L in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Grid(L, 64)
 
 
 def test_field_copies_input_and_is_read_only():
@@ -77,21 +76,14 @@ def test_boundary_fraction():
 
 def test_spectral_derivative_exact_on_modes():
     g = Grid(2 * math.pi, 64)
-    u = Field(g, np.exp(3j * g.x))
-    du = spectral_derivative(u)
-    assert np.allclose(du.values, 3j * u.values, rtol=0, atol=1e-12)
-
-
-def test_quadrature_and_lp_norm():
-    # Riemann sums are spectrally accurate here: the Gaussian tail is below
-    # machine precision at the box edge.
-    g = Grid(80.0, 1024)
-    f = Field(g, np.exp(-(g.x**2)))
-    assert quadrature(f) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-    assert lp_norm(f, 2.0) == pytest.approx((math.pi / 2) ** 0.25, rel=1e-13)
-    assert lp_norm(f, math.inf) == 1.0
+    u = np.exp(3j * g.x)
+    uh = np.fft.fft(u)
+    assert np.allclose(spectral_derivative(g, uh), 3j * u, rtol=0, atol=1e-12)
+    assert np.allclose(spectral_derivative(g, uh, order=2), -9 * u, rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
-        lp_norm(f, 0.0)
+        spectral_derivative(g, uh, order=3)
+    with pytest.raises(ValueError):
+        g.ik_first[1] = 0.0  # the cached symbol is read-only
 
 
 def test_cumulative_integral_of_cosine():
@@ -166,6 +158,14 @@ def test_validate_params_exponent_conditions():
         validate_params(Params(1.0, 0.25, 1.0, 1.0, 0.0))  # endpoint needs beta < 0
 
 
-def test_is_massless():
-    assert is_massless(Params(1.0, 0.25, 1.0, 1.0, -0.5))
-    assert not is_massless(Params(1.0, 1.0, 1.0))
+def test_require_admissible_branches():
+    assert require_admissible(1.0, 1.0, 0.0) is False
+    assert require_admissible(1.0, 1.0, -1.0) is False  # interior, either sign of c
+    assert require_admissible(2.0, 0.25, 1.0) is True  # endpoint with c > 0
+    with pytest.raises(ValueError, match="sigma"):
+        require_admissible(0.5, 1.0, 0.0)
+    with pytest.raises(NotAdmissible, match="omega >= c"):
+        require_admissible(1.0, 0.2, 1.0)
+    for c in (-1.0, 0.0):  # the endpoint needs c > 0
+        with pytest.raises(NotAdmissible, match="endpoint"):
+            require_admissible(1.0, c * c / 4, c)

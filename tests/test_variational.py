@@ -20,7 +20,6 @@ from gdnls import (
     modulate,
     modulus_alignment_error,
     mu_reference,
-    nehari_project,
     profile_Phi,
     profile_phi,
     tilde_functionals,
@@ -42,7 +41,7 @@ def test_homogeneity_split_reproduces_constraint(grid):
 
 
 def test_projection_recovers_the_wave():
-    # scaling the exact shifted profile up by 1.3 must project straight back
+    # the constraint scale (A / -B)^(1/2s) of 1.3 * psi* must undo the inflation
     g = Grid(60.0, 2048)
     c = 4 * math.pi * 5 / 60.0
     p = Params(1.0, 1.0, c)
@@ -50,18 +49,18 @@ def test_projection_recovers_the_wave():
     A, B = homogeneity_split(psi_star, p)
     assert A > 0 > B
     assert A + B == pytest.approx(0.0, abs=1e-8 * A)
-    proj = nehari_project(psi_star.with_values(1.3 * psi_star.values), p)
-    assert np.max(np.abs(proj.values - psi_star.values)) < 1e-7
-    assert abs(tilde_functionals(proj, p).virial) < 1e-8 * A
+    A, B = homogeneity_split(psi_star.with_values(1.3 * psi_star.values), p)
+    assert (A / -B) ** (1 / (2 * p.sigma)) == pytest.approx(1 / 1.3, abs=1e-8)
 
 
 def test_projection_rejects_data_without_negative_part():
-    # a real Gaussian at c = 0 has no superquadratic contribution at all
+    # a real Gaussian has N = 0, so at c > 0 its superquadratic part is positive
+    # and the descent cannot start (at c = 0 that part is pure roundoff)
     g = Grid(60.0, 1024)
     psi = Field(g, np.exp(-(g.x**2) / 4).astype(complex))
     for ab in ((1.0, 0.0), (1.0, -0.5)):
         with pytest.raises(NotProjectable):
-            nehari_project(psi, Params(1.0, 1.0, 0.0, *ab))
+            estimate_mu(Params(1.0, 1.0, 0.5, *ab), MinimizeConfig(initial=psi))
 
 
 def test_minimize_config_validation():

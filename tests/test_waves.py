@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from gdnls import (
     BoundaryProximity,
@@ -33,6 +34,7 @@ from gdnls import (
     traveling_wave,
     z0_root,
 )
+from gdnls import waves
 
 
 def test_spec_validation_and_phase_wrap():
@@ -86,8 +88,55 @@ def test_full_wave_modulus_and_phase_slope():
     # at the crest the amplitude is flat, so phi'/phi is purely the phase
     # slope c/2 - Phi^2/4 (sigma = 1)
     mid = g.N // 2
-    slope = (spectral_derivative(phi).values[mid] / phi.values[mid]).imag
+    slope = (spectral_derivative(g, np.fft.fft(phi.values))[mid] / phi.values[mid]).imag
     assert slope == pytest.approx(-Phi.values[mid].real ** 2 / 4, rel=1e-8)
+
+
+def _phase_by_quadrature(spec, y):
+    """c y / 2 - (2s+2)^(-1) int_0^y Phi^(2s), the phase integral done by adaptive quadrature."""
+    I, _ = quad(lambda t: waves._amplitude(spec, np.asarray(t)) ** (2 * spec.sigma), 0.0, y,
+                epsabs=1e-13, epsrel=1e-13, limit=400)
+    return 0.5 * spec.c * y - I / (2 * spec.sigma + 2)
+
+
+def _check_phase(f, spec, grid, shift, phase0, nodes=(64, 1024, 1900)):
+    assert np.all(np.isfinite(f.values.view(float)))
+    for j in nodes:
+        y = float(grid.x[j]) - shift
+        want = waves._amplitude(spec, np.asarray(y)) * np.exp(
+            1j * (_phase_by_quadrature(spec, y) + phase0))
+        assert abs(f.values[j] - want) < 1e-12, (spec, j, f.values[j], want)
+
+
+def test_phase_is_closed_form_at_the_quadrature_reproducers():
+    # both raised QuadratureFailure from the old phase-offset quadrature
+    g = Grid(60.0, 4096)
+    spec = SolitonSpec(1.0, 0.5, 1.0)
+    with pytest.warns(BoundaryProximity):  # at t = 2 the slow tail reaches the box edge
+        moved = traveling_wave(spec, g, 2.0)
+    _check_phase(moved, spec, g, 2.0, 1.0, nodes=(128, 2048, 3800))
+    spec = SolitonSpec(1.0, 1.0, 0.0, x0=2.5)
+    _check_phase(profile_phi(spec, g), spec, g, 2.5, 0.0, nodes=(128, 2048, 3800))
+
+
+def test_phase_sweep_over_sigma_speeds_and_centres():
+    g = Grid(60.0, 2048)
+    speeds = ((1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (0.5, 1.0), (1.0, -1.0), (0.25, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryProximity)  # the endpoint tail reaches the edge
+        for s in (1.0, 1.5, 2.0, 3.0):
+            for w, c in speeds:
+                for x0 in (0.0, 1.3, -2.7):
+                    spec = SolitonSpec(s, w, c, x0=x0)
+                    _check_phase(profile_phi(spec, g), spec, g, x0, 0.0)
+
+
+def test_phase_integral_spans_the_sigma1_mass():
+    # for sigma = 1, I(inf) - I(-inf) = int Phi^2 is the closed-form mass
+    for w, c in ((1.0, 0.0), (1.0, 0.5), (0.5, 1.0), (1.0, -1.0), (0.25, 1.0)):
+        ends = waves._phase_integral(SolitonSpec(1.0, w, c), np.array([np.inf, -np.inf]))
+        assert 4 * (ends[0] - ends[1]) == pytest.approx(closed_form_invariants(w, c).mass,
+                                                       rel=1e-14)
 
 
 def test_translation_is_a_grid_roll():
