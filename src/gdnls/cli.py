@@ -387,6 +387,10 @@ def cmd_simulate(cfg: dict) -> int:
     summary = {"final_t": traj.times[-1], "blowup": int(traj.blowup),
                "drift_M": dM, "drift_E": dE, "drift_P": dP}
     run.metrics.update(summary)
+    # every family: the run neither blew up nor stopped short of T
+    run.check("no_blowup", int(traj.blowup), 0, not traj.blowup)
+    gap = abs(traj.times[-1] - scheme.T)
+    run.check("reached_T", gap, 1e-12 * scheme.T, gap <= 1e-12 * scheme.T)
     if cfg["data"]["family"] == "soliton" and not traj.blowup:
         spec = SolitonSpec(p.sigma, p.omega, p.c, x0=float(cfg["data"]["x0"]))
         exact = traveling_wave(spec, grid, traj.times[-1])

@@ -10,8 +10,9 @@ exp(i c x / 2); all shifted quantities below use the operator d/dx - i c/2
 directly so no modulation is ever sampled on the grid.
 
 Energy, action, virial and the tilde family are scalar algebra over one
-`Moments` evaluation (one FFT pair); mass, momentum, nonlinear_N and
-identity_suite stay direct, so the identities compare two independent paths.
+`Moments` evaluation: one FFT pair from a field, none from samples of u and
+u_x.  Mass, momentum, nonlinear_N and identity_suite stay direct, so the
+identities compare two independent paths.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "I_functional",
     "Moments",
     "moments",
+    "sample_moments",
     "TildeValues",
     "tilde_functionals",
     "IdentityReport",
@@ -131,8 +133,12 @@ class Moments(NamedTuple):
 
 def moments(u: Field, sigma: float) -> Moments:
     """All five integrals from one spectral derivative (one FFT pair)."""
-    v, dx = u.values, u.grid.dx
-    du = spectral_derivative(u.grid, np.fft.fft(v))
+    du = spectral_derivative(u.grid, np.fft.fft(u.values))
+    return sample_moments(u.values, du, u.grid.dx, sigma)
+
+
+def sample_moments(v: np.ndarray, du: np.ndarray, dx: float, sigma: float) -> Moments:
+    """All five integrals from samples of u and u_x on a grid of spacing dx; no transform."""
     a2 = v.real**2 + v.imag**2
     cross = (np.conj(v) * du).imag  # P and N integrate Re(i z) = -Im(z)
     ws = a2**sigma

@@ -148,12 +148,38 @@ def test_simulate_soliton_checks_error_and_drift(outdir):
     man = _manifest(outdir)
     assert man["metrics"]["final_linf_error"] < 1e-4
     assert man["metrics"]["drift_M"] < 1e-8
+    names = [c["name"] for c in man["checks"]]
+    assert names == ["no_blowup", "reached_T", "soliton_linf_error", "drift_M", "drift_E", "drift_P"]
+    assert all(c["passed"] for c in man["checks"])
     traj = (outdir / "trajectory.csv").read_text().splitlines()
     assert traj[0] == "t,M,E,P,H1seminorm,shiftedH1,K,blowup"
     summary = (outdir / "summary.csv").read_text().splitlines()
     assert summary[0] == "final_t,blowup,drift_M,drift_E,drift_P,final_linf_error"
     assert (outdir / "initial_field.json").exists()
     assert (outdir / "final_field.json").exists()
+
+
+def _failed_checks(outdir):
+    return sorted(c["name"] for c in _manifest(outdir)["checks"] if not c["passed"])
+
+
+def test_simulate_blowup_exits_1(outdir):
+    code = main(["simulate", "--grid.N", "256", "--data.amplitude", "50",
+                 "--scheme.dt", "0.05", "--scheme.T", "1"])
+    assert code == 1
+    assert _manifest(outdir)["metrics"]["blowup"] == 1
+    assert "no_blowup" in _failed_checks(outdir)
+
+
+def test_simulate_truncated_adaptive_run_exits_1(outdir):
+    # sigma = 3 data that collapses: the adaptive step budget stops the run short of T
+    code = main(["simulate", "--grid.N", "512", "--params.sigma", "3", "--data.amplitude", "3",
+                 "--scheme.adaptive", "true", "--scheme.T", "0.2", "--sample_every", "500"])
+    assert code == 1
+    man = _manifest(outdir)
+    assert man["metrics"]["blowup"] == 0
+    assert man["metrics"]["final_t"] < 0.2
+    assert _failed_checks(outdir) == ["reached_T"]
 
 
 def test_simulate_from_field_file(outdir, tmp_path):
@@ -167,6 +193,7 @@ def test_simulate_from_field_file(outdir, tmp_path):
     man = _manifest(outdir)
     assert man["metrics"]["blowup"] == 0
     assert "final_linf_error" not in man["metrics"]
+    assert [c["name"] for c in man["checks"]] == ["no_blowup", "reached_T"]
 
 
 def test_simulate_rejects_non_finite_field_file(outdir, tmp_path, capsys):

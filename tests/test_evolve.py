@@ -5,6 +5,7 @@ no endpoint mismatch pollutes the ratio.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gdnls import (
     SchemeConfig,
     SearchConfig,
     SolitonSpec,
+    action_S,
     certify_global,
     integrate,
     invariance_check,
@@ -115,6 +117,25 @@ def test_overflow_flags_blowup_and_keeps_finite_state():
     assert traj.records[-1].blowup
     assert np.all(np.isfinite(traj.final.values.view(float)))
     assert traj.times[-1] < 1.0
+    # the flagged record describes the kept state
+    assert traj.records[-1].t == traj.times[-1]
+    assert traj.records[-1].mass == pytest.approx(mass(traj.final), rel=1e-12)
+
+
+def test_overflow_on_a_sampled_step_flags_that_record():
+    # with a record every step the overflowing step finds its state already
+    # sampled: that record is flagged in place, and nothing is appended
+    g = Grid(60.0, 256)
+    phi = profile_phi(SolitonSpec(1.0, 1.0, 0.0), g)
+    hot = phi.with_values(50.0 * phi.values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        traj = integrate(hot, SchemeConfig(dt=0.05, T=1.0), Params(1.0, 1.0, 0.0), sample_every=1)
+    assert len(traj.times) == len(traj.fields) == len(traj.records)
+    assert traj.records[-1].blowup
+    assert not any(r.blowup for r in traj.records[:-1])
+    assert np.all(np.isfinite(traj.final.values.view(float)))
+    assert traj.times[-1] < 1.0
 
 
 def test_adaptive_run_reaches_final_time():
@@ -178,6 +199,13 @@ def test_invariance_report_on_certified_run():
     assert rep.min_virial >= -rep.drift_scale
     assert rep.h1_max <= rep.h1_bound
     assert rep.action_drift < 1e-3
+    # without the certificate the records are in the frame of p, which the check refuses
+    p = Params(1.0, 1.0, 0.0)
+    assert cert.params != p
+    plain = integrate(u, SchemeConfig(dt=1e-3, T=0.01), p, sample_every=5)
+    with pytest.raises(ValueError, match="frame"):
+        invariance_check(plain, cert)
+    assert plain.frame == p
 
 
 def test_run_ends_at_T_when_dt_does_not_divide_it():
@@ -217,14 +245,46 @@ def test_integrate_rejects_certificate_for_another_power():
 
 
 def test_diagnostics_record_integrates_the_field_once(monkeypatch):
+    # the record reads the stepper's samples of u and u_x and makes no transform
     g = Grid(60.0, 1024)
     u = profile_phi(SolitonSpec(1.0, 1.0, 0.0), g)
     p = Params(1.0, 1.0, 0.0)
     diag_p = Params(1.0, 4.0, 2.0, 1.0, -0.5)
-    calls = count_ffts(monkeypatch)
-    rec = evolve._diagnostics(u, 0.0, p, diag_p, False)
-    assert calls[0] <= 3
-    # the shifted seminorm from the moments against its spectrum, ||(k - c/2) u^||
     vh = np.fft.fft(u.values)
+    ux = np.fft.ifft(g.ik_first * vh)
+    calls = count_ffts(monkeypatch)
+    rec = evolve._diagnostics(u.values, ux, g.dx, 0.0, p, diag_p, False)
+    assert calls[0] == 0
+    # the shifted seminorm from the moments against its spectrum, ||(k - c/2) u^||
     shifted = math.sqrt(g.dx / g.N * float(np.sum(np.abs((g.k_first - 1.0) * vh) ** 2)))
     assert rec.shifted_h1 == pytest.approx(shifted, rel=1e-12)
+    assert rec.action == pytest.approx(action_S(u, diag_p), rel=1e-12)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_step_costs_twelve_transforms_and_records_none(monkeypatch, adaptive):
+    g = Grid(60.0, 256)
+    phi = profile_phi(SolitonSpec(1.0, 1.0, 0.0), g)
+    calls = count_ffts(monkeypatch)
+    traj = integrate(phi, SchemeConfig(dt=1e-3, T=0.02, adaptive=adaptive),
+                     Params(1.0, 1.0, 0.0), sample_every=1)
+    n = len(traj.times) - 1  # one record per step
+    assert n >= 20
+    assert calls[0] <= 12 * n + 3
+
+
+def test_invariance_drift_from_records_matches_the_fields():
+    # acceptance 8's setup: the drift read from the records is the drift of the kept fields
+    g = Grid(60.0, 1024)
+    u = Field(g, np.exp(-(g.x**2)).astype(complex))
+    u = u.with_values(u.values * math.sqrt(3.9 * math.pi / mass(u)))
+    cert = certify_global(u, SearchConfig(sigma=1.0))
+    assert isinstance(cert, Certificate)
+    traj = integrate(u, SchemeConfig(dt=1e-3, T=5.0), Params(1.0, 1.0, 0.0),
+                     sample_every=10, cert=cert)
+    rep = invariance_check(traj, cert)
+    s0 = action_S(traj.fields[0], cert.params)
+    drift = max(abs(action_S(f, cert.params) - s0) for f in traj.fields)
+    assert abs(rep.action_drift - drift) <= 1e-12 * (abs(s0) + 1.0)
+    assert traj.records[0].action == s0
+
