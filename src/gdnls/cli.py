@@ -4,12 +4,14 @@ Configuration is one JSON document; any key can be overridden on the command
 line with --section.key value pairs (values parsed as JSON, bare words as
 strings).  Every run writes a manifest next to its outputs with the resolved
 config, wall clock, metrics, and per-check pass/fail, so a run can be replayed
-and audited.  Exit codes: 0 all checks passed, 1 a check failed, 2 bad config.
+and audited.  Exit codes: 0 all checks passed, 1 a check failed, 2 bad config or
+input, 3 an unexpected error (a program bug; its traceback is printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -17,11 +19,12 @@ import math
 import os
 import sys
 import time
+import traceback
 from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
-from .core import Field, Grid, Params, is_grid_compatible, load_field, save_field
+from .core import Field, Grid, Params, is_grid_compatible, load_field, require_admissible, save_field
 from .criterion import Certificate, SearchConfig, certify_global, corollary15_data, membership
 from .errors import GdnlsError
 from .evolve import SchemeConfig, integrate, write_trajectory_csv
@@ -145,29 +148,47 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
     return resolved
 
 
+@contextlib.contextmanager
+def _config_input():
+    """Report a TypeError or ValueError raised while reading the config as a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+@_config_input()
 def _grid(cfg: dict) -> Grid:
     return Grid(float(cfg["grid"]["L"]), int(cfg["grid"]["N"]))
 
 
+@_config_input()
 def _params(cfg: dict) -> Params:
     p = cfg["params"]
-    return Params(float(p["sigma"]), float(p["omega"]), float(p["c"]),
-                  float(p["alpha"]), float(p["beta"]))
+    out = Params(float(p["sigma"]), float(p["omega"]), float(p["c"]),
+                 float(p["alpha"]), float(p["beta"]))
+    require_admissible(out.sigma, out.omega, out.c)
+    return out
 
 
+@_config_input()
 def _scheme(cfg: dict) -> SchemeConfig:
     s = cfg["scheme"]
     return SchemeConfig(dt=float(s["dt"]), T=float(s["T"]), dealias=bool(s["dealias"]),
                         cfl_safety=float(s["cfl_safety"]), adaptive=bool(s["adaptive"]))
 
 
+@_config_input()
 def _initial_data(cfg: dict, grid: Grid) -> Field:
     d = cfg["data"]
     family = d["family"]
     if family == "file":
         if not d["file"]:
             raise ConfigError("data.family 'file' needs data.file")
-        return load_field(d["file"])
+        try:
+            return load_field(d["file"])
+        except (OSError, KeyError) as exc:
+            raise ConfigError(f"cannot read field file {d['file']!r}: {exc!r}") from exc
     if family == "soliton":
         p = cfg["params"]
         spec = SolitonSpec(float(p["sigma"]), float(p["omega"]), float(p["c"]), x0=float(d["x0"]))
@@ -241,7 +262,8 @@ def cmd_soliton(cfg: dict) -> int:
     run = Run("soliton", cfg)
     grid = _grid(cfg)
     p = _params(cfg)
-    spec = SolitonSpec(p.sigma, p.omega, p.c, x0=float(cfg["data"]["x0"]))
+    with _config_input():
+        spec = SolitonSpec(p.sigma, p.omega, p.c, x0=float(cfg["data"]["x0"]))
     phi = profile_phi(spec, grid)
     _write_csv(run.path("profile.csv"), "x,re,im,abs",
                [(repr(x), repr(v.real), repr(v.imag), repr(abs(v)))
@@ -274,9 +296,9 @@ def cmd_soliton(cfg: dict) -> int:
 def cmd_verify(cfg: dict) -> int:
     run = Run("verify", cfg)
     grid = _grid(cfg)
-    rng = np.random.default_rng(int(cfg["seed"]))
-    n_fields = int(cfg["verify"]["fields"])
-    modes = int(cfg["verify"]["modes"])
+    with _config_input():
+        rng = np.random.default_rng(int(cfg["seed"]))
+        n_fields, modes = int(cfg["verify"]["fields"]), int(cfg["verify"]["modes"])
     param_pool = [
         Params(1.0, 1.0, 0.0, 1.0, 0.0),
         Params(1.0, 1.0, 1.0, 1.0, -1.0),
@@ -314,40 +336,27 @@ def cmd_certify(cfg: dict) -> int:
     run = Run("certify", cfg)
     grid = _grid(cfg)
     u0 = _initial_data(cfg, grid)
-    s = cfg["search"]
-    kwargs = {k: v for k, v in {
-        "sigma": s["sigma"] if s["sigma"] is not None else cfg["params"]["sigma"],
-        "c_min": s["c_min"], "c_max": s["c_max"], "points": s["points"],
-        "strategy_hint": s["strategy_hint"],
-    }.items() if v is not None}
-    if s["strategies"] is not None:
-        kwargs["strategies"] = tuple(s["strategies"])
-    if cfg["data"]["family"] == "modulated" and "strategy_hint" not in kwargs:
-        kwargs["strategy_hint"] = "modulation"
-    result = certify_global(u0, SearchConfig(**kwargs))
+    with _config_input():
+        s = {k: v for k, v in cfg["search"].items() if v is not None}
+        s.setdefault("sigma", cfg["params"]["sigma"])
+        if cfg["data"]["family"] == "modulated":
+            s.setdefault("strategy_hint", "modulation")
+        if "strategies" in s:
+            s["strategies"] = tuple(s["strategies"])
+        search = SearchConfig(**s)
+    result = certify_global(u0, search)
 
-    if isinstance(result, Certificate):
-        doc = {
-            "params": dataclasses.asdict(result.params),
-            "action": result.action, "level": result.level, "virial": result.virial,
-            "strategy": result.strategy,
-        }
-        with open(run.path("certificate.json"), "w") as fh:
-            json.dump(doc, fh, indent=2)
-        run.metrics["found"] = True
+    found = isinstance(result, Certificate)
+    with open(run.path("certificate.json" if found else "notfound.json"), "w") as fh:
+        json.dump(dataclasses.asdict(result), fh, indent=2)
+    run.metrics["found"] = found
+    run.check("certificate_found", float(found), 1.0, found)
+    if found:
         run.metrics["strategy"] = result.strategy
-        run.check("certificate_found", 1.0, 1.0, True)
         kind = membership(u0, result.params).kind
         run.check("membership_recheck", 1.0 if kind == "KPlus" else 0.0, 1.0, kind == "KPlus")
     else:
-        doc = {"tried": result.tried, "margin": result.margin,
-               "action": result.action, "level": result.level, "virial": result.virial,
-               "params": None if result.params is None else dataclasses.asdict(result.params)}
-        with open(run.path("notfound.json"), "w") as fh:
-            json.dump(doc, fh, indent=2)
-        run.metrics["found"] = False
         run.metrics["best_margin"] = result.margin
-        run.check("certificate_found", 0.0, 1.0, False)
     return run.finish()
 
 
@@ -355,9 +364,10 @@ def cmd_minimize_mu(cfg: dict) -> int:
     run = Run("minimize-mu", cfg)
     p = _params(cfg)
     m = cfg["minimize"]
-    mc = MinimizeConfig(step=None if m["step"] is None else float(m["step"]),
-                        max_iters=int(m["max_iters"]), grad_tol=float(m["grad_tol"]),
-                        grid=_grid(cfg))
+    with _config_input():
+        mc = MinimizeConfig(step=None if m["step"] is None else float(m["step"]),
+                            max_iters=int(m["max_iters"]), grad_tol=float(m["grad_tol"]),
+                            grid=_grid(cfg))
     est = estimate_mu(p, mc)
     ref = mu_reference(p)
     rel = abs(est.mu - ref) / abs(ref)
@@ -376,7 +386,11 @@ def cmd_simulate(cfg: dict) -> int:
     p = _params(cfg)
     scheme = _scheme(cfg)
     u0 = _initial_data(cfg, grid)
-    traj = integrate(u0, scheme, p, sample_every=int(cfg["sample_every"]))
+    with _config_input():
+        every = int(cfg["sample_every"])
+        if every < 1:
+            raise ValueError(f"sample_every must be at least 1, got {every}")
+    traj = integrate(u0, scheme, p, sample_every=every)
     write_trajectory_csv(traj, run.path("trajectory.csv"))
     save_field(u0, run.path("initial_field.json"))
     save_field(traj.final, run.path("final_field.json"), t=traj.times[-1])
@@ -408,10 +422,13 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_zroot(cfg: dict) -> int:
     run = Run("zroot", cfg)
     z = cfg["zroot"]
+    with _config_input():
+        sigmas = [float(s) for s in z["sigmas"]]
+        z_tol, quad_tol = float(z["z_tol"]), float(z["quad_tol"])
     rows = []
-    for s in z["sigmas"]:
-        root = z0_root(float(s), z_tol=float(z["z_tol"]), quad_tol=float(z["quad_tol"]))
-        resid = abs(F_sigma(root, float(s), tol=float(z["quad_tol"])))
+    for s in sigmas:
+        root = z0_root(s, z_tol=z_tol, quad_tol=quad_tol)
+        resid = abs(F_sigma(root, s, tol=quad_tol))
         rows.append((s, repr(root), repr(resid)))
         run.check(f"zroot_residual_sigma_{s}", resid, 1e-6, resid < 1e-6)
     _write_csv(run.path("zroot.csv"), "sigma,z0,absF", rows)
@@ -450,9 +467,9 @@ def main(argv: list[str] | None = None) -> int:
     except GdnlsError as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ flow, so exhibiting one admissible (omega, c, alpha, beta) with both signs
 right certifies a global solution.  The search exploits that the virial grows
 like c^2 * mass/4 while the level grows like c^(1+1/sigma) along the endpoint
 curve omega = c^2/4, so small-mass or negative-momentum data certify at large
-speed.
+speed.  The candidates of a route do not depend on the data, so each route's
+table of admissible parameters and levels is built once per process and cached.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,24 +122,17 @@ class SearchConfig:
             raise ValueError(f"unknown strategy tag {self.strategy_hint!r}")
 
 
-def _classify(mom: Moments, p: Params, level: float) -> Membership:
+def membership(u0: Field, p: Params) -> Membership:
+    """Exact-comparison classification; ties land on the inclusive side."""
+    validate_params(p)
+    mom, level = moments(u0, p.sigma), mu_reference(p)
     s, k = mom.action(p), mom.virial(p)
     kind = "Neither" if s > level else "KPlus" if k >= 0 else "KMinus"
     return Membership(kind, s, level, k)
 
 
-def membership(u0: Field, p: Params) -> Membership:
-    """Exact-comparison classification; ties land on the inclusive side."""
-    validate_params(p)
-    return _classify(moments(u0, p.sigma), p, mu_reference(p))
-
-
-@lru_cache(maxsize=256)
-def _level(sigma: float, omega: float, c: float) -> float:
-    return mu_reference(Params(sigma, omega, c))
-
-
-def _speed_grid(cfg: SearchConfig, L: float) -> list[float]:
+@lru_cache(maxsize=32)
+def _speed_grid(cfg: SearchConfig, L: float) -> tuple[float, ...]:
     c_max = cfg.c_max if cfg.c_max is not None else 2.0**10 * cfg.c_min
     raw = np.geomspace(cfg.c_min, c_max, cfg.points)
     unit = 4 * math.pi / L
@@ -146,7 +141,34 @@ def _speed_grid(cfg: SearchConfig, L: float) -> list[float]:
         snapped = unit * max(1, round(c / unit))
         if not out or snapped != out[-1]:
             out.append(snapped)
-    return out
+    return tuple(out)
+
+
+class _RouteTable(NamedTuple):
+    """The admissible candidates of one route in scan order, their levels and columns."""
+
+    params: tuple[Params, ...]
+    level: np.ndarray
+    cols: Params  # omega, c, alpha, beta as float arrays
+
+
+@lru_cache(maxsize=32)
+def _route_table(sigma: float, route: str, speeds: tuple[float, ...],
+                 offsets: tuple[float, ...]) -> _RouteTable:
+    if route == "massless-scan":
+        raw = [Params(sigma, c * c / 4, c, 1.0, -0.5) for c in speeds]
+    else:
+        raw = [Params(sigma, c * c / 4 + off, c, a, b)
+               for c in speeds for off in offsets for a, b in ((1.0, 0.0), (1.0, -0.5))]
+    kept = []
+    for p in raw:
+        try:
+            kept.append(validate_params(p))
+        except (NotAdmissible, BadExponents):
+            pass
+    level = np.array([mu_reference(p) for p in kept], dtype=float)
+    cols = np.array([(p.omega, p.c, p.alpha, p.beta) for p in kept], dtype=float).reshape(-1, 4).T
+    return _RouteTable(tuple(kept), level, Params(sigma, *cols))
 
 
 def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
@@ -157,56 +179,37 @@ def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
     admissible point with action <= level and virial >= 0 wins.  The endpoint
     tag records which mechanism made the data certifiable: small mass scans
     through, mass exactly at the borderline needs negative momentum, and
-    caller-constructed plane-wave data is tagged via the hint.  Each
-    candidate is scored by scalar algebra over one `moments` evaluation of u0.
+    caller-constructed plane-wave data is tagged via the hint.  Each route is
+    scored in one array pass over its cached table, by `Moments` algebra on
+    columns of parameters; a miss reports the first candidate of least margin.
     """
     if not np.any(u0.values):
         raise ZeroField("cannot certify the zero field")
     require_finite(u0, "initial data")
 
     speeds = _speed_grid(search, u0.grid.L)
-    sig = search.sigma
-    mom = moments(u0, sig)
+    mom = moments(u0, search.sigma)
     tried = 0
-    best_margin = math.inf
-    best: tuple[Params, Membership] | None = None
-
-    def consider(p: Params) -> Membership | None:
-        nonlocal tried, best_margin, best
-        try:
-            validate_params(p)
-        except (NotAdmissible, BadExponents):
-            return None
-        tried += 1
-        m = _classify(mom, p, _level(p.sigma, p.omega, p.c))
-        margin = max(m.action - m.level, -m.virial)
-        if margin < best_margin:
-            best_margin = margin
-            best = (p, m)
-        return m if m.kind == "KPlus" else None
-
+    best = (math.inf, None, math.nan, math.nan, math.nan)  # margin, params, action, level, virial
     for route in search.strategies:
-        if route == "massless-scan":
-            for c in speeds:
-                p = Params(sig, c * c / 4, c, 1.0, -0.5)
-                hit = consider(p)
-                if hit is not None:
-                    tag = search.strategy_hint or _endpoint_tag(mom)
-                    return Certificate(p, hit.action, hit.level, hit.virial, tag)
-        else:
-            for c in speeds:
-                for off in search.omega_offsets:
-                    for ab in ((1.0, 0.0), (1.0, -0.5)):
-                        p = Params(sig, c * c / 4 + off, c, ab[0], ab[1])
-                        hit = consider(p)
-                        if hit is not None:
-                            tag = search.strategy_hint or "grid-search"
-                            return Certificate(p, hit.action, hit.level, hit.virial, tag)
-
-    if best is None:
-        return NotFound(tried, math.inf, None, math.nan, math.nan, math.nan)
-    p, m = best
-    return NotFound(tried, best_margin, p, m.action, m.level, m.virial)
+        table = _route_table(search.sigma, route, speeds, search.omega_offsets)
+        if not table.params:
+            continue
+        action, virial = mom.action(table.cols), mom.virial(table.cols)
+        good = (action <= table.level) & (virial >= 0)
+        i = int(np.argmax(good))
+        if good[i]:
+            tag = search.strategy_hint or (
+                _endpoint_tag(mom) if route == "massless-scan" else "grid-search")
+            return Certificate(table.params[i], float(action[i]), float(table.level[i]),
+                               float(virial[i]), tag)
+        tried += len(table.params)
+        margin = np.maximum(action - table.level, -virial)
+        j = int(np.argmin(margin))
+        if margin[j] < best[0]:
+            best = (float(margin[j]), table.params[j], float(action[j]), float(table.level[j]),
+                    float(virial[j]))
+    return NotFound(tried, *best)
 
 
 def _endpoint_tag(mom: Moments) -> str:

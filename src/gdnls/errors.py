@@ -13,7 +13,7 @@ class BadExponents(GdnlsError):
     """(alpha, beta) violates the sign conditions required of a virial pair."""
 
 
-class SigmaUnsupported(GdnlsError):
+class SigmaUnsupported(GdnlsError, ValueError):
     """Operation only available for specific nonlinearity powers."""
 
 

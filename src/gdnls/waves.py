@@ -213,7 +213,7 @@ def F_sigma(z: float, sigma: float, tol: float = 1e-12) -> float:
     if not -1 < z < 1:
         raise ValueError(f"z must lie in (-1, 1), got {z}")
     if not 1 <= sigma <= 2:
-        raise ValueError(f"sigma must lie in [1, 2], got {sigma}")
+        raise SigmaUnsupported(f"sigma must lie in [1, 2], got {sigma}")
     Y = _fsigma_cutoff(sigma, tol)
     inv = 1.0 / sigma
 
@@ -240,7 +240,7 @@ def F_sigma(z: float, sigma: float, tol: float = 1e-12) -> float:
 def z0_root(sigma: float, z_tol: float = 1e-8, quad_tol: float = 1e-12) -> float:
     """Unique zero of F_sigma on (-1, 1), located by a bracket scan plus bisection."""
     if not 1 < sigma < 2:
-        raise ValueError(f"z0_root requires 1 < sigma < 2, got {sigma}")
+        raise SigmaUnsupported(f"z0_root requires 1 < sigma < 2, got {sigma}")
     eps = 1e-3
     zs = np.linspace(-1 + eps, 1 - eps, 41)
     fs = [F_sigma(float(z), sigma, quad_tol) for z in zs]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gdnls import Field, Grid, save_field
+from gdnls import cli
 from gdnls.cli import main
 
 
@@ -55,6 +56,38 @@ def test_config_errors_exit_2(outdir, tmp_path):
     assert main(["soliton", str(tmp_path / "absent.json")]) == 2
     assert main(["simulate", "--data.family", "file"]) == 2
     assert main(["simulate", "--data.boost", "0.3"]) == 2  # not box-periodic
+
+
+def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
+    # each is reported as a config error by the helper that reads it
+    cases = (
+        ["soliton", "--params.sigma", "0.5"],
+        ["soliton", "--data.x0", "left"],
+        ["simulate", "--grid.N", "100"],
+        ["simulate", "--scheme.dt", "fast"],
+        ["simulate", "--sample_every", "0", "--grid.N", "512"],
+        ["simulate", "--data.family", "file", "--data.file", str(tmp_path / "absent.json")],
+        ["certify", "--search.points", "1", "--grid.N", "512"],
+        ["minimize-mu", "--minimize.grad_tol", "0"],
+        ["verify", "--verify.fields", "many"],
+        ["zroot", "--zroot.sigmas", "[2.5]"],
+    )
+    for argv in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err, argv
+
+
+def test_unexpected_error_exits_3_with_traceback(outdir, monkeypatch, capsys):
+    # a program bug is neither a failed check nor a config error
+    def broken(*args, **kwargs):
+        raise TypeError("internal bug")
+
+    monkeypatch.setattr(cli, "integrate", broken)
+    assert main(["simulate", "--grid.N", "512", "--scheme.T", "0.01"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: internal bug" in err
+    assert "config error" not in err
 
 
 def test_verify_randomized_corpus(outdir):

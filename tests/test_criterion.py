@@ -100,10 +100,15 @@ def test_certify_propagates_unexpected_validation_errors(monkeypatch):
     def broken(p):
         raise RuntimeError("validation bug")
 
-    monkeypatch.setattr(criterion, "validate_params", broken)
+    # a cached table would skip validation, so the broken validator runs on a fresh build
+    criterion._route_table.cache_clear()
     u = _gaussian_with_mass(Grid(60.0, 1024), 3.0)
-    with pytest.raises(RuntimeError, match="validation bug"):
-        certify_global(u, SearchConfig(sigma=1.0))
+    with monkeypatch.context() as patched:
+        patched.setattr(criterion, "validate_params", broken)
+        with pytest.raises(RuntimeError, match="validation bug"):
+            certify_global(u, SearchConfig(sigma=1.0))
+    # the failed build was not cached
+    assert isinstance(certify_global(u, SearchConfig(sigma=1.0)), Certificate)
 
 
 def test_certify_small_mass_scans_through():
@@ -174,7 +179,7 @@ def _modulated_sigma2():
     return corollary15_data(Field(g, (1.2 * np.exp(-(g.x**2) / 4)).astype(complex)), 12.8)
 
 
-@pytest.mark.parametrize("build, search, expected", [
+PINNED = [
     (lambda: _gaussian_with_mass(Grid(60.0, 1024), 3.9), SearchConfig(sigma=1.0),
      (Params(1.0, 52.210207281762706, 14.451326206513048, 1.0, -0.5), "massless-scan")),
     (lambda: _gaussian_with_mass(Grid(60.0, 1024), 4.0, boost=2 * math.pi * 5 / 60.0),
@@ -184,7 +189,10 @@ def _modulated_sigma2():
      (Params(2.0, 9.0, 6.0, 1.0, -0.5), "modulation")),
     (lambda: _gaussian_with_mass(Grid(60.0, 1024), 4.5), SearchConfig(sigma=1.0),
      (Params(1.0, 0.2741556778080377, 1.0471975511965976, 1.0, -0.5), 280)),
-])
+]
+
+
+@pytest.mark.parametrize("build, search, expected", PINNED)
 def test_certify_outcomes_pinned(build, search, expected):
     # frozen from the search that evaluated every candidate on the arrays
     params, tag = expected
@@ -194,6 +202,53 @@ def test_certify_outcomes_pinned(build, search, expected):
         assert isinstance(res, NotFound) and res.tried == tag
     else:
         assert isinstance(res, Certificate) and res.strategy == tag
+
+
+@pytest.mark.parametrize("build, search", [case[:2] for case in PINNED])
+def test_route_pass_is_the_scalar_rule(build, search):
+    """Walking the tables in scan order with the scalar membership gives the same outcome."""
+    u = build()
+    res = certify_global(u, search)
+    speeds = criterion._speed_grid(search, u.grid.L)
+    scan = [p for route in search.strategies
+            for p in criterion._route_table(search.sigma, route, speeds, search.omega_offsets).params]
+    first, best = None, None
+    for i, p in enumerate(scan):
+        m = membership(u, p)
+        if m.kind == "KPlus":
+            first = i
+            break
+        margin = max(m.action - m.level, -m.virial)
+        if best is None or margin < best[0]:
+            best = (margin, p, m)
+    if isinstance(res, Certificate):
+        assert first is not None and scan.index(res.params) == first
+    else:
+        assert first is None and res.tried == len(scan)
+        margin, p, m = best
+        assert res.params == p
+        assert (res.margin, res.action, res.level, res.virial) == (margin, m.action, m.level, m.virial)
+
+
+def test_warm_route_tables_cost_no_level_work(monkeypatch):
+    real, levels = criterion.mu_reference, [0]
+
+    def counted(p):
+        levels[0] += 1
+        return real(p)
+
+    monkeypatch.setattr(criterion, "mu_reference", counted)
+    criterion._route_table.cache_clear()
+    ffts = count_ffts(monkeypatch)
+    # the two box lengths of the benchmark's scan give different speed grids, so separate tables
+    for L in (60.0, 20 * math.pi):
+        u = _gaussian_with_mass(Grid(L, 1024), 4.5)
+        levels[0] = 0
+        cold = certify_global(u, SearchConfig(sigma=1.0))
+        assert isinstance(cold, NotFound) and levels[0] == cold.tried > 0
+        levels[0] = ffts[0] = 0
+        assert certify_global(u, SearchConfig(sigma=1.0)) == cold
+        assert levels[0] == 0 and ffts[0] <= 2
 
 
 def test_certify_miss_integrates_the_data_once(monkeypatch):
