@@ -59,7 +59,7 @@ DEFAULTS: dict = {
     "sample_every": 10,
     "grid": {"L": 60.0, "N": 4096},
     "params": {"sigma": 1.0, "omega": 1.0, "c": 0.0, "alpha": 1.0, "beta": 0.0},
-    "scheme": {"dt": 1e-3, "T": 5.0, "dealias": True, "cfl_safety": 0.5, "adaptive": False},
+    "scheme": {"dt": 1e-3, "T": 5.0, "adaptive": False},
     "data": {
         "family": "gaussian",  # gaussian | soliton | modulated | file
         "amplitude": 1.0,
@@ -78,7 +78,7 @@ DEFAULTS: dict = {
         "strategies": None,
         "strategy_hint": None,
     },
-    "minimize": {"step": None, "max_iters": 60000, "grad_tol": 1e-5},
+    "minimize": {"max_iters": 60000, "grad_tol": 1e-5},
     "verify": {"fields": 30, "modes": 24},
     "zroot": {"sigmas": [1.2, 1.5, 1.8], "z_tol": 1e-8, "quad_tol": 1e-12},
 }
@@ -174,8 +174,13 @@ def _params(cfg: dict) -> Params:
 @_config_input()
 def _scheme(cfg: dict) -> SchemeConfig:
     s = cfg["scheme"]
-    return SchemeConfig(dt=float(s["dt"]), T=float(s["T"]), dealias=bool(s["dealias"]),
-                        cfl_safety=float(s["cfl_safety"]), adaptive=bool(s["adaptive"]))
+    return SchemeConfig(dt=float(s["dt"]), T=float(s["T"]), adaptive=bool(s["adaptive"]))
+
+
+@_config_input()
+def _soliton_spec(cfg: dict) -> SolitonSpec:
+    p = cfg["params"]
+    return SolitonSpec(float(p["sigma"]), float(p["omega"]), float(p["c"]), x0=float(cfg["data"]["x0"]))
 
 
 @_config_input()
@@ -190,9 +195,7 @@ def _initial_data(cfg: dict, grid: Grid) -> Field:
         except (OSError, KeyError) as exc:
             raise ConfigError(f"cannot read field file {d['file']!r}: {exc!r}") from exc
     if family == "soliton":
-        p = cfg["params"]
-        spec = SolitonSpec(float(p["sigma"]), float(p["omega"]), float(p["c"]), x0=float(d["x0"]))
-        return profile_phi(spec, grid)
+        return profile_phi(_soliton_spec(cfg), grid)
     if family not in ("gaussian", "modulated"):
         raise ConfigError(f"unknown data.family {d['family']!r}")
     x = grid.x
@@ -262,8 +265,7 @@ def cmd_soliton(cfg: dict) -> int:
     run = Run("soliton", cfg)
     grid = _grid(cfg)
     p = _params(cfg)
-    with _config_input():
-        spec = SolitonSpec(p.sigma, p.omega, p.c, x0=float(cfg["data"]["x0"]))
+    spec = _soliton_spec(cfg)
     phi = profile_phi(spec, grid)
     _write_csv(run.path("profile.csv"), "x,re,im,abs",
                [(repr(x), repr(v.real), repr(v.imag), repr(abs(v)))
@@ -365,8 +367,7 @@ def cmd_minimize_mu(cfg: dict) -> int:
     p = _params(cfg)
     m = cfg["minimize"]
     with _config_input():
-        mc = MinimizeConfig(step=None if m["step"] is None else float(m["step"]),
-                            max_iters=int(m["max_iters"]), grad_tol=float(m["grad_tol"]),
+        mc = MinimizeConfig(max_iters=int(m["max_iters"]), grad_tol=float(m["grad_tol"]),
                             grid=_grid(cfg))
     est = estimate_mu(p, mc)
     ref = mu_reference(p)
@@ -406,8 +407,7 @@ def cmd_simulate(cfg: dict) -> int:
     gap = abs(traj.times[-1] - scheme.T)
     run.check("reached_T", gap, 1e-12 * scheme.T, gap <= 1e-12 * scheme.T)
     if cfg["data"]["family"] == "soliton" and not traj.blowup:
-        spec = SolitonSpec(p.sigma, p.omega, p.c, x0=float(cfg["data"]["x0"]))
-        exact = traveling_wave(spec, grid, traj.times[-1])
+        exact = traveling_wave(_soliton_spec(cfg), grid, traj.times[-1])
         linf = float(np.max(np.abs(traj.final.values - exact.values)))
         summary["final_linf_error"] = linf
         run.metrics["final_linf_error"] = linf

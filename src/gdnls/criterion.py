@@ -46,6 +46,9 @@ STRATEGY_TAGS = ("massless-scan", "negative-momentum", "modulation", "grid-searc
 # is absorbed.  See guo_wu_bound_values.
 C_QUARTIC_YOUNG = math.sqrt(3.0) / (9.0 * math.pi)
 
+# interior offsets omega - c^2/4 tried per speed in the grid-search route
+_OMEGA_OFFSETS = (0.5, 2.0, 8.0)
+
 
 @dataclass(frozen=True)
 class Membership:
@@ -103,8 +106,6 @@ class SearchConfig:
     points: int = 40
     strategies: tuple[str, ...] = ("massless-scan", "grid-search")
     strategy_hint: str | None = None
-    # interior offsets omega - c^2/4 tried per speed in the grid-search route
-    omega_offsets: tuple[float, ...] = (0.5, 2.0, 8.0)
 
     def __post_init__(self) -> None:
         if not self.sigma >= 1:
@@ -153,13 +154,12 @@ class _RouteTable(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _route_table(sigma: float, route: str, speeds: tuple[float, ...],
-                 offsets: tuple[float, ...]) -> _RouteTable:
+def _route_table(sigma: float, route: str, speeds: tuple[float, ...]) -> _RouteTable:
     if route == "massless-scan":
         raw = [Params(sigma, c * c / 4, c, 1.0, -0.5) for c in speeds]
     else:
         raw = [Params(sigma, c * c / 4 + off, c, a, b)
-               for c in speeds for off in offsets for a, b in ((1.0, 0.0), (1.0, -0.5))]
+               for c in speeds for off in _OMEGA_OFFSETS for a, b in ((1.0, 0.0), (1.0, -0.5))]
     kept = []
     for p in raw:
         try:
@@ -192,7 +192,7 @@ def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
     tried = 0
     best = (math.inf, None, math.nan, math.nan, math.nan)  # margin, params, action, level, virial
     for route in search.strategies:
-        table = _route_table(search.sigma, route, speeds, search.omega_offsets)
+        table = _route_table(search.sigma, route, speeds)
         if not table.params:
             continue
         action, virial = mom.action(table.cols), mom.virial(table.cols)
@@ -214,10 +214,14 @@ def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
 
 def _endpoint_tag(mom: Moments) -> str:
     """Which endpoint mechanism applies: borderline mass with leftward drift, or small mass."""
-    if mom.sigma == 1.0:
-        if abs(mom.mass - 4 * math.pi) <= 1e-6 * 4 * math.pi and mom.momentum < 0:
-            return "negative-momentum"
+    if mom.sigma == 1.0 and _borderline_mass(mom.mass) and mom.momentum < 0:
+        return "negative-momentum"
     return "massless-scan"
+
+
+def _borderline_mass(M: float) -> bool:
+    """Mass at Wu's 4 pi threshold, to 1e-6 relative."""
+    return abs(M - 4 * math.pi) <= 1e-6 * 4 * math.pi
 
 
 def corollary15_data(psi: Field, c: float) -> Field:
@@ -247,7 +251,7 @@ def guo_wu_bound(u0: Field) -> float:
     anything else is outside the argument's reach.
     """
     M = mass(u0)
-    if abs(M - 4 * math.pi) > 1e-6 * 4 * math.pi:
+    if not _borderline_mass(M):
         raise Inapplicable(f"mass {M:.8f} is not at the 4*pi borderline")
     P = momentum(u0)
     if not P < 0:

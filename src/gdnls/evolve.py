@@ -34,14 +34,13 @@ __all__ = [
 ]
 
 _AMPLITUDE_CAP = 1e6  # growth factor over the initial sup norm that we call blow-up
+_CFL_SAFETY = 0.5  # adaptive runs cap dt at this fraction of dx / max(1, |u|^(2s))
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
     dt: float
     T: float
-    dealias: bool = True
-    cfl_safety: float = 0.5
     adaptive: bool = False
 
     def __post_init__(self) -> None:
@@ -49,8 +48,6 @@ class SchemeConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (self.T > 0 and math.isfinite(self.T)):
             raise ValueError(f"T must be positive and finite, got {self.T}")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,10 +67,13 @@ class DiagnosticsRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: list[float]
     fields: list[Field]
     records: list[DiagnosticsRecord]
     frame: Params  # the parameters the frame-dependent record columns are read at
+
+    @property
+    def times(self) -> list[float]:
+        return [r.t for r in self.records]
 
     @property
     def blowup(self) -> bool:
@@ -107,12 +107,12 @@ class _Stepper:
     costs 1 + 3 * 3 + 2 = 12 FFTs.
     """
 
-    def __init__(self, grid, sigma: float, dt: float, dealias: bool):
+    def __init__(self, grid, sigma: float, dt: float):
         self.grid = grid
         self.sigma = sigma
         # the minus sign of -|u|^(2s) u_x rides on the 2/3-rule mask
         keep = np.abs(np.fft.fftfreq(grid.N, 1 / grid.N)) < grid.N / 3
-        self.neg_mask = -keep.astype(float) if dealias else -1.0
+        self.neg_mask = -keep.astype(float)
         self.set_dt(dt)
 
     def load(self, uh: np.ndarray) -> None:
@@ -194,18 +194,16 @@ def integrate(
         raise ValueError(f"certificate sigma={cert.params.sigma} differs from sigma={p.sigma}")
     diag_p = cert.params if cert is not None else p
     grid = u0.grid
-    stepper = _Stepper(grid, p.sigma, cfg.dt, cfg.dealias)
+    stepper = _Stepper(grid, p.sigma, cfg.dt)
     stepper.load(np.fft.fft(u0.values))
     amp0 = float(np.max(np.abs(u0.values)))
 
-    times = [0.0]
     fields = [u0]
     records = [_diagnostics(u0.values, stepper.ux, grid.dx, 0.0, p, diag_p, False)]
     if amp0 == 0.0:
         amp0 = 1.0  # zero data never trips the growth cap
 
     def sample(t: float, blowup: bool) -> None:
-        times.append(t)
         fields.append(Field(grid, stepper.u))
         records.append(_diagnostics(stepper.u, stepper.ux, grid.dx, t, p, diag_p, blowup))
 
@@ -224,7 +222,7 @@ def integrate(
             break
         amp = float(np.max(np.abs(stepper.u)))  # sup norm of the state before the step
         if cfg.adaptive:
-            cap = cfg.cfl_safety * grid.dx / max(1.0, amp ** (2 * p.sigma))
+            cap = _CFL_SAFETY * grid.dx / max(1.0, amp ** (2 * p.sigma))
             dt_new = min(cfg.dt, cap, cfg.T - t)
         else:
             dt_new = last_dt if n == n_steps - 1 else cfg.dt
@@ -234,21 +232,21 @@ def integrate(
             stepper.advance()
         except Overflow:
             # the stepper still holds the last finite state; keep it as the terminal sample
-            if times[-1] == t:
+            if records[-1].t == t:
                 records[-1] = replace(records[-1], blowup=True)
             else:
                 sample(t, True)
-            return Trajectory(times, fields, records, diag_p)
+            return Trajectory(fields, records, diag_p)
         n += 1
         t = t + stepper.dt if cfg.adaptive else min(n * cfg.dt, cfg.T)
         if amp > _AMPLITUDE_CAP * amp0:
             sample(t, True)
-            return Trajectory(times, fields, records, diag_p)
+            return Trajectory(fields, records, diag_p)
         if n % sample_every == 0:
             sample(t, False)
-    if times[-1] != t:
+    if records[-1].t != t:
         sample(t, False)
-    return Trajectory(times, fields, records, diag_p)
+    return Trajectory(fields, records, diag_p)
 
 
 def invariance_check(traj: Trajectory, cert: Certificate) -> InvarianceReport:

@@ -7,9 +7,9 @@ constraint set, which is possible in closed form because the constraint
 splits into quadratic and superquadratic parts under psi -> lambda * psi.
 The smoothing removes the stiffness of the Laplacian part, so unit steps are
 stable on any grid and the iteration count does not grow with max(k^2).
-The target level is known exactly for sigma = 1 and is computed by quadrature
-of the solitary profile otherwise, which gives the reference the estimate is
-tested against.
+The target level is known in closed form for sigma = 1 and at the endpoint
+and is computed by quadrature of the solitary profile otherwise, which gives
+the reference the estimate is tested against.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+from scipy.special import beta
 
 from .core import Field, Grid, Params, require_admissible, spectral_derivative, validate_params
 from .errors import NotProjectable, ZeroField
@@ -39,23 +39,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Knobs for the projected descent.
+    """Stopping rule, starting field and grid for the projected descent.
 
-    step = None picks 1.0, the natural scale of the H^1 gradient step: the
-    preconditioned Laplacian part has symbol k^2 / (1 + k^2) < 1 on every
-    grid.  Backtracking halves the step whenever a move fails to decrease the
-    action, and the halved step carries over to later iterations.
+    The step is not a setting: it starts at 1, the natural scale of the H^1
+    gradient step (the preconditioned Laplacian part has symbol
+    k^2 / (1 + k^2) < 1 on every grid).  Backtracking halves it whenever a
+    move fails to decrease the action, and the halved step carries over to
+    later iterations.
     """
 
-    step: float | None = None
     max_iters: int = 60_000
     grad_tol: float = 1e-5
     initial: Field | None = None
     grid: Grid | None = None
 
     def __post_init__(self) -> None:
-        if self.step is not None and not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.grad_tol > 0:
@@ -127,7 +125,7 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
         return lam * v, mom.scaled(lam).tilde(p).action
 
     v, s_now = project(psi.values)
-    eta = cfg.step if cfg.step is not None else 1.0
+    eta = 1.0
     history = [s_now]
     converged = False
     it = 0
@@ -177,50 +175,33 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
     )
 
 
-def _endpoint_amplitude_sq_pow(sigma: float, y: float, power: float) -> float:
-    """Phi(y)^(2*sigma*power) for the endpoint profile at (omega, c) = (1/4, 1)."""
-    return (2 * (sigma + 1) / ((sigma * y) ** 2 + 1)) ** power
-
-
 @lru_cache(maxsize=None)
 def _endpoint_base_level(sigma: float) -> float:
     """Action level of the endpoint wave at c = 1; scales like c^(1 + 1/sigma).
 
-    All three integrals are of closed-form algebraic functions, evaluated over
-    the half line and doubled, which sidesteps the slow tails entirely:
+    With a = 2s + 2 and Phi^(2s) = a / (1 + (s y)^2),
 
-        level = ||Phi'||^2/2 - ||Phi||_{4s+2}^{4s+2} / (2 (2s+2)^2)
-                + ||Phi||_{2s+2}^{2s+2} / (2 (2s+2)),
+        level = ||Phi'||^2/2 - ||Phi||_{4s+2}^{4s+2} / (2 a^2) + ||Phi||_{2s+2}^{2s+2} / (2 a),
 
-    using |psi'|^2 = (Phi')^2 + Phi^(4s+2)/(2s+2)^2 and
-    N(psi) = ||Phi||_{4s+2}^{4s+2}/(2s+2) for the phase-dressed profile.
+    using |psi'|^2 = (Phi')^2 + Phi^(4s+2)/a^2 and N(psi) = ||Phi||_{4s+2}^{4s+2}/a
+    for the phase-dressed profile.  After z = s y each integral is a Beta
+    function: the integral of (1 + z^2)^(-m) z^(2j) over the line is
+    B(j + 1/2, m - j - 1/2).
     """
     s = sigma
-
-    def grad_sq(y: float) -> float:
-        # (Phi')^2 = Phi^2 * (s*y)^2 * s^2 / ((s*y)^2 + 1)^2  with Phi^2 = A^(1/s)
-        a = (s * y) ** 2 + 1
-        return _endpoint_amplitude_sq_pow(s, y, 1 / s) * (s * s * y) ** 2 / (a * a)
-
-    def pot(y: float) -> float:
-        return _endpoint_amplitude_sq_pow(s, y, (s + 1) / s)
-
-    def quart(y: float) -> float:
-        return _endpoint_amplitude_sq_pow(s, y, (2 * s + 1) / s)
-
-    G = 2 * quad(grad_sq, 0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300)[0]
-    T = 2 * quad(pot, 0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300)[0]
-    Q = 2 * quad(quart, 0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300)[0]
-    m = 2 * s + 2
-    return 0.5 * G - Q / (2 * m * m) + T / (2 * m)
+    a = 2 * s + 2
+    G = a ** (1 / s) * s * beta(1.5, 0.5 + 1 / s)
+    T = a ** (1 + 1 / s) / s * beta(0.5, 0.5 + 1 / s)
+    Q = a ** (2 + 1 / s) / s * beta(0.5, 1.5 + 1 / s)
+    return float(0.5 * G - Q / (2 * a * a) + T / (2 * a))
 
 
 def mu_reference(p: Params) -> float:
     """Reference value of the constrained level: the action of the solitary wave.
 
-    sigma = 1 uses the closed forms; other powers use quadrature (an automatic
-    exponential-decay box away from the endpoint, closed-form half-line
-    integrals at it).
+    sigma = 1 uses the closed forms; other powers use quadrature on an
+    automatic exponential-decay box away from the endpoint and Beta functions
+    at it.
     """
     endpoint = require_admissible(p.sigma, p.omega, p.c)
     if p.sigma == 1.0:

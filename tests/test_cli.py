@@ -58,6 +58,15 @@ def test_config_errors_exit_2(outdir, tmp_path):
     assert main(["simulate", "--data.boost", "0.3"]) == 2  # not box-periodic
 
 
+def test_retired_scheme_and_descent_keys_are_unknown(outdir, capsys):
+    # dealiasing, the CFL fraction and the descent step are fixed by the schemes
+    for argv in (["simulate", "--scheme.dealias", "false"],
+                 ["simulate", "--scheme.cfl_safety", "0.3"],
+                 ["minimize-mu", "--minimize.step", "0.5"]):
+        assert main(argv) == 2, argv
+        assert "unknown config key" in capsys.readouterr().err, argv
+
+
 def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
     # each is reported as a config error by the helper that reads it
     cases = (

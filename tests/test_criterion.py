@@ -5,7 +5,7 @@ lattice or the data recipes change.
 """
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -83,6 +83,7 @@ def test_search_config_validation():
         SearchConfig(strategies=("modulation",))
     with pytest.raises(ValueError):
         SearchConfig(strategy_hint="whatever")
+    assert "omega_offsets" not in {f.name for f in fields(SearchConfig)}
 
 
 def test_certify_rejects_degenerate_data():
@@ -211,7 +212,7 @@ def test_route_pass_is_the_scalar_rule(build, search):
     res = certify_global(u, search)
     speeds = criterion._speed_grid(search, u.grid.L)
     scan = [p for route in search.strategies
-            for p in criterion._route_table(search.sigma, route, speeds, search.omega_offsets).params]
+            for p in criterion._route_table(search.sigma, route, speeds).params]
     first, best = None, None
     for i, p in enumerate(scan):
         m = membership(u, p)

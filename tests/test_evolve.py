@@ -4,6 +4,7 @@ report.  Order measurements compare at a final time divisible by every dt so
 no endpoint mismatch pollutes the ratio.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -24,6 +25,7 @@ from gdnls import (
     invariance_check,
     mass,
     profile_phi,
+    spectral_derivative,
     traveling_wave,
     write_trajectory_csv,
 )
@@ -37,8 +39,7 @@ def test_scheme_config_validation():
             SchemeConfig(dt=bad, T=1.0)
         with pytest.raises(ValueError):
             SchemeConfig(dt=1e-3, T=bad)
-    with pytest.raises(ValueError):
-        SchemeConfig(dt=1e-3, T=1.0, cfl_safety=0.0)
+    assert [f.name for f in dataclasses.fields(SchemeConfig)] == ["dt", "T", "adaptive"]
 
 
 def test_linear_regime_matches_free_propagator():
@@ -98,14 +99,12 @@ def test_dealias_clips_generated_high_modes():
     g = Grid(2 * math.pi, 64)
     u = Field(g, np.exp(20j * g.x) + np.exp(21j * g.x))
     p = Params(1.0, 1.0, 0.0)
-
-    def one_step(dealias):
-        cfg = SchemeConfig(dt=1e-3, T=1e-3, dealias=dealias)
-        return np.fft.fft(integrate(u, cfg, p, sample_every=1).final.values) / g.N
-
-    on, off = one_step(True), one_step(False)
-    assert abs(on[22]) < 1e-14
-    assert abs(off[22]) > 1e-6
+    # the unmasked nonlinear product does reach mode 22, so the assert below bites
+    ux = spectral_derivative(g, np.fft.fft(u.values))
+    raw = np.fft.fft(np.abs(u.values) ** 2 * ux) / g.N
+    assert abs(raw[22]) > 1.0
+    traj = integrate(u, SchemeConfig(dt=1e-3, T=1e-3), p, sample_every=1)
+    assert abs(np.fft.fft(traj.final.values)[22] / g.N) < 1e-14
 
 
 def test_overflow_flags_blowup_and_keeps_finite_state():

@@ -1,0 +1,44 @@
+"""The package namespace is the union of its modules' export lists."""
+
+import importlib
+
+import gdnls
+
+MODULES = ("core", "criterion", "errors", "evolve", "functionals", "variational", "waves")
+
+# every name the package exported when it still listed its imports by hand
+EXPORTED_BEFORE = {
+    "BadExponents", "BoundaryProximity", "Certificate", "ClosedFormInvariants",
+    "DiagnosticsRecord", "F_sigma", "Field", "GNReport", "GdnlsError", "Grid", "I_functional",
+    "IdentityReport", "Inapplicable", "IncompatibleModulation", "InvarianceReport",
+    "Membership", "MinimizeConfig", "Moments", "MuEstimate", "NoBracket", "NotAdmissible",
+    "NotFound", "NotProjectable", "Overflow", "Params", "QuadratureFailure", "SchemeConfig",
+    "SearchConfig", "SigmaUnsupported", "SolitonSpec", "TildeValues", "Trajectory",
+    "ZeroField", "action_S", "agmon_ratio", "calE", "calP", "certify_global",
+    "closed_form_invariants", "core", "corollary15_data", "criterion", "cumulative_integral",
+    "elliptic_residual", "energy", "errors", "estimate_mu", "evolve",
+    "first_integral_residual", "functionals", "gauge_from_w", "gauge_to_w", "gn1_ratio",
+    "gn2_ratio", "gn_checks", "guo_wu_bound", "guo_wu_bound_values", "gw_momentum_floor",
+    "homogeneity_split", "identity_suite", "integrate", "invariance_check",
+    "is_grid_compatible", "load_field", "mass", "membership", "modulate",
+    "modulus_alignment_error", "moments", "momentum", "mu_reference", "nonlinear_N",
+    "profile_Phi", "profile_phi", "require_admissible", "save_field", "spectral_derivative",
+    "tilde_functionals", "traveling_wave", "validate_params", "variational", "virial_K",
+    "waves", "write_trajectory_csv", "z0_root",
+}
+
+
+def test_package_exports_every_module_list():
+    exported = set(gdnls.__all__)
+    for name in MODULES:
+        mod = importlib.import_module(f"gdnls.{name}")
+        public = getattr(mod, "__all__", [n for n in vars(mod) if not n.startswith("_")])
+        assert set(public) <= exported, name
+        for attr in public:
+            assert getattr(gdnls, attr) is getattr(mod, attr)
+
+
+def test_package_keeps_every_earlier_export():
+    assert EXPORTED_BEFORE <= set(gdnls.__all__)
+    for name in EXPORTED_BEFORE:
+        assert hasattr(gdnls, name), name

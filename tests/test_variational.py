@@ -2,6 +2,7 @@
 constraint projection, the descent itself, and the independent reference level.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from gdnls import (
     profile_Phi,
     profile_phi,
     tilde_functionals,
+    variational,
 )
 from helpers import band_limited
 
@@ -65,11 +67,10 @@ def test_projection_rejects_data_without_negative_part():
 
 def test_minimize_config_validation():
     with pytest.raises(ValueError):
-        MinimizeConfig(step=0.0)
-    with pytest.raises(ValueError):
         MinimizeConfig(max_iters=0)
     with pytest.raises(ValueError):
         MinimizeConfig(grad_tol=0.0)
+    assert "step" not in {f.name for f in dataclasses.fields(MinimizeConfig)}
 
 
 def test_estimate_mu_ground_state():
@@ -119,6 +120,9 @@ def test_mu_reference_endpoint_scaling():
     assert big == pytest.approx(base * 4.0**1.5, rel=1e-12)
     mid = mu_reference(Params(1.5, 0.25, 1.0, 1.0, -0.5))
     assert mid == pytest.approx(1.7309705337467058, rel=1e-9)
+    # the Beta-function forms reproduce the exact values at sigma = 1 and 2
+    assert variational._endpoint_base_level(1.0) == pytest.approx(math.pi / 2, rel=1e-15)
+    assert base == pytest.approx(5 / math.sqrt(6), rel=1e-15)
 
 
 def test_mu_reference_continuity_toward_endpoint():
