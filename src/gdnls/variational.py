@@ -7,16 +7,16 @@ constraint set, which is possible in closed form because the constraint
 splits into quadratic and superquadratic parts under psi -> lambda * psi.
 The smoothing removes the stiffness of the Laplacian part, so unit steps are
 stable on any grid and the iteration count does not grow with max(k^2).
-The target level is known in closed form for sigma = 1 and at the endpoint
-and is computed by quadrature of the solitary profile otherwise, which gives
-the reference the estimate is tested against.
+The target level, the action of the solitary wave, is a closed form at
+sigma = 1 and two 1-D integrals J_nu of the profile otherwise (one Beta
+function at the endpoint); that gives the reference the estimate is tested
+against without sampling the wave on a grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -24,8 +24,9 @@ from scipy.special import beta
 
 from .core import Field, Grid, Params, require_admissible, spectral_derivative, validate_params
 from .errors import NotProjectable, ZeroField
-from .functionals import action_S, moments, tilde_functionals
-from .waves import SolitonSpec, closed_form_invariants, profile_phi
+# action_S is unused here; bench/tracer.py patches it by name
+from .functionals import action_S, moments, tilde_functionals  # noqa: F401
+from .waves import J_nu, SolitonSpec, closed_form_invariants, profile_phi
 
 __all__ = [
     "MinimizeConfig",
@@ -175,44 +176,28 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
     )
 
 
-@lru_cache(maxsize=None)
-def _endpoint_base_level(sigma: float) -> float:
-    """Action level of the endpoint wave at c = 1; scales like c^(1 + 1/sigma).
-
-    With a = 2s + 2 and Phi^(2s) = a / (1 + (s y)^2),
-
-        level = ||Phi'||^2/2 - ||Phi||_{4s+2}^{4s+2} / (2 a^2) + ||Phi||_{2s+2}^{2s+2} / (2 a),
-
-    using |psi'|^2 = (Phi')^2 + Phi^(4s+2)/a^2 and N(psi) = ||Phi||_{4s+2}^{4s+2}/a
-    for the phase-dressed profile.  After z = s y each integral is a Beta
-    function: the integral of (1 + z^2)^(-m) z^(2j) over the line is
-    B(j + 1/2, m - j - 1/2).
-    """
-    s = sigma
-    a = 2 * s + 2
-    G = a ** (1 / s) * s * beta(1.5, 0.5 + 1 / s)
-    T = a ** (1 + 1 / s) / s * beta(0.5, 0.5 + 1 / s)
-    Q = a ** (2 + 1 / s) / s * beta(0.5, 1.5 + 1 / s)
-    return float(0.5 * G - Q / (2 * a * a) + T / (2 * a))
-
-
 def mu_reference(p: Params) -> float:
     """Reference value of the constrained level: the action of the solitary wave.
 
-    sigma = 1 uses the closed forms; other powers use quadrature on an
-    automatic exponential-decay box away from the endpoint and Beta functions
-    at it.
+    The profile equation integrated against Phi and its first integral leave
+    mu = s/(s+1) [(omega - c^2/4) M + c Pot/(4s+4)] with s = sigma, M = ||Phi||^2
+    and Pot = ||Phi||_{2s+2}^{2s+2}.  Inside the region Phi^(2s) = a/(cosh(s r y) - z)
+    with r = sqrt(4 omega - c^2), z = c/(2 sqrt(omega)), a = (s+1) r^2/(2 sqrt(omega)),
+    so M = a^(1/s) h J_{1/s}(z) and Pot = a^(1+1/s) h J_{1+1/s}(z) with h = 2/(s r).
+    At the endpoint the first term is 0 and Pot is one Beta function, giving
+    mu = (2s+2)^(1/s-1) c^(1+1/s) B(1/2, 1/2+1/s), which is also ||Phi'||^2.
+    sigma = 1 keeps the closed forms.
     """
-    endpoint = require_admissible(p.sigma, p.omega, p.c)
-    if p.sigma == 1.0:
-        return closed_form_invariants(p.omega, p.c).action
-    if endpoint:
-        return p.c ** (1 + 1 / p.sigma) * _endpoint_base_level(p.sigma)
-    rate = math.sqrt(4 * p.omega - p.c**2)
-    L = max(60.0, 100.0 / rate)
-    grid = Grid(L, 4096)
-    phi = profile_phi(SolitonSpec(p.sigma, p.omega, p.c), grid)
-    return action_S(phi, p)
+    s, w, c = p.sigma, p.omega, p.c
+    if s == 1.0:
+        return closed_form_invariants(w, c).action
+    if require_admissible(s, w, c):
+        return (2 * s + 2) ** (1 / s - 1) * c ** (1 + 1 / s) * float(beta(0.5, 0.5 + 1 / s))
+    r2, q = 4 * w - c * c, 2 * math.sqrt(w)
+    a, h = (s + 1) * r2 / q, 2 / (s * math.sqrt(r2))
+    mass = a ** (1 / s) * h * J_nu(1 / s, c / q)
+    pot = a ** (1 + 1 / s) * h * J_nu(1 + 1 / s, c / q)
+    return s / (s + 1) * (r2 / 4 * mass + c * pot / (4 * s + 4))
 
 
 def modulus_alignment_error(psi: Field, reference: Field) -> float:

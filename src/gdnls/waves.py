@@ -32,6 +32,7 @@ __all__ = [
     "first_integral_residual",
     "ClosedFormInvariants",
     "closed_form_invariants",
+    "J_nu",
     "F_sigma",
     "z0_root",
 ]
@@ -192,10 +193,32 @@ def closed_form_invariants(omega: float, c: float, sigma: float = 1.0) -> Closed
     return ClosedFormInvariants(mass, momentum, energy, action)
 
 
-def _fsigma_cutoff(sigma: float, tol: float) -> float:
-    # Tail of both integrands is <= const * exp(-y/sigma); solve for the cutoff
-    # that pushes the truncated mass below tol with a wide safety factor.
-    return sigma * math.log(400 * (4 ** (1 / sigma)) * max(sigma, 1.0) / tol) + 5.0
+def J_nu(nu: float, z: float, tol: float = 1e-12) -> float:
+    """J_nu(z) = int_0^inf (cosh y - z)^(-nu) dy for nu > 0 and -1 < z < 1.
+
+    The integrand is evaluated as (2 e^-y / ((1 - e^-y)^2 + 2 (1 - z) e^-y))^nu,
+    which neither cancels near y = 0 as z -> 1 nor overflows at large y.  For
+    large y it approaches 2^nu e^(-nu y), so the quadrature stops at the Y where
+    that tail's integral 2^nu e^(-nu Y) / nu is a thousandth of tol.
+    """
+    if not -1 < z < 1:
+        raise ValueError(f"z must lie in (-1, 1), got {z}")
+    if not nu > 0:
+        raise ValueError(f"nu must be positive, got {nu}")
+    Y = math.log(1000 * 2**nu / (nu * tol)) / nu
+    gap = 1.0 - z
+
+    def f(y: float) -> float:
+        e = math.exp(-y)
+        u = -math.expm1(-y)
+        return (2 * e / (u * u + 2 * gap * e)) ** nu
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        v, _ = quad(f, 0.0, Y, epsabs=tol, epsrel=100 * tol, limit=500)
+    if not math.isfinite(v):
+        raise QuadratureFailure(f"J_nu({nu}, {z}) did not evaluate to a finite value")
+    return v
 
 
 def F_sigma(z: float, sigma: float, tol: float = 1e-12) -> float:
@@ -203,38 +226,20 @@ def F_sigma(z: float, sigma: float, tol: float = 1e-12) -> float:
 
     F(z) = (sigma-1)^2 * I1(z)^2 - I2(z)^2 with
 
-        I1 = int_0^inf (cosh y - z)^(-1/sigma) dy,
+        I1 = int_0^inf (cosh y - z)^(-1/sigma) dy = J_{1/sigma}(z),
         I2 = int_0^inf (cosh y - z)^(-1/sigma - 1) * (z cosh y - 1) dy,
 
-    evaluated by adaptive quadrature on [0, Y] with Y chosen so the dropped
-    tail is below tol.  For sigma = 1 the first term vanishes and I2 = -1
-    exactly (the integrand is the derivative of -sinh y / (cosh y - z)).
+    and z cosh y - 1 = z (cosh y - z) + z^2 - 1 gives
+    I2 = z J_{1/sigma}(z) + (z^2 - 1) J_{1+1/sigma}(z), so both come from the
+    integrals behind mu_reference.  For sigma = 1 the first term vanishes and
+    I2 = -1 exactly (the integrand is the derivative of -sinh y / (cosh y - z)).
     """
-    if not -1 < z < 1:
-        raise ValueError(f"z must lie in (-1, 1), got {z}")
     if not 1 <= sigma <= 2:
         raise SigmaUnsupported(f"sigma must lie in [1, 2], got {sigma}")
-    Y = _fsigma_cutoff(sigma, tol)
     inv = 1.0 / sigma
-
-    def f1(y: float) -> float:
-        return (math.cosh(y) - z) ** (-inv)
-
-    def f2(y: float) -> float:
-        ch = math.cosh(y)
-        return (ch - z) ** (-inv - 1) * (z * ch - 1)
-
-    vals = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for f in (f1, f2):
-            v, _ = quad(f, 0.0, Y, epsabs=tol, epsrel=100 * tol, limit=500)
-            vals.append(v)
-    i1, i2 = vals
-    out = (sigma - 1) ** 2 * i1 * i1 - i2 * i2
-    if not math.isfinite(out):
-        raise QuadratureFailure(f"F_sigma({z}, {sigma}) did not evaluate to a finite value")
-    return out
+    i1 = J_nu(inv, z, tol)
+    i2 = z * i1 + (z * z - 1) * J_nu(inv + 1, z, tol)
+    return (sigma - 1) ** 2 * i1 * i1 - i2 * i2
 
 
 def z0_root(sigma: float, z_tol: float = 1e-8, quad_tol: float = 1e-12) -> float:

@@ -40,6 +40,15 @@ def test_soliton_default_run(outdir):
     assert len(prof) == 1 + 4096
 
 
+def test_soliton_checks_the_action_against_the_level_off_sigma_one(outdir):
+    assert main(["soliton", "--params.sigma", "2.0"]) == 0
+    man = _manifest(outdir)
+    assert [c["name"] for c in man["checks"]] == ["invariant_S", "elliptic_residual"]
+    assert all(c["passed"] for c in man["checks"])
+    rows = (outdir / "invariants.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[2] != "" for r in rows] == [False, False, False, True]
+
+
 def test_soliton_massless_skips_decay_checks(outdir):
     code = main(["soliton", "--params.omega", "0.25", "--params.c", "1.0",
                  "--grid.N", "1024"])

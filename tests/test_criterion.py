@@ -157,8 +157,12 @@ def test_certify_modulated_profile_route():
     res = certify_global(u, SearchConfig(sigma=2.0, strategy_hint="modulation"))
     assert isinstance(res, Certificate)
     assert res.strategy == "modulation"
-    assert res.params.c == pytest.approx(6.0, rel=1e-9)
-    assert membership(u, res.params).kind == "KPlus"
+    assert res.params.c == pytest.approx(8.4, rel=1e-9)
+    m = membership(u, res.params)
+    assert m.kind == "KPlus"
+    # the sigma = 2 endpoint level is ||Phi'||^2 = (2 / sqrt(6)) c^(3/2)
+    assert m.level == pytest.approx(2 / math.sqrt(6) * 8.4**1.5, rel=1e-12)
+    assert m.action == pytest.approx(13.7957, abs=1e-4)
 
 
 def test_certify_not_found_keeps_best_margin():
@@ -187,7 +191,7 @@ PINNED = [
      SearchConfig(sigma=1.0),
      (Params(1.0, 12.676958541843662, 7.120943348136864, 1.0, -0.5), "negative-momentum")),
     (_modulated_sigma2, SearchConfig(sigma=2.0, strategy_hint="modulation"),
-     (Params(2.0, 9.0, 6.0, 1.0, -0.5), "modulation")),
+     (Params(2.0, 17.64, 8.4, 1.0, -0.5), "modulation")),
     (lambda: _gaussian_with_mass(Grid(60.0, 1024), 4.5), SearchConfig(sigma=1.0),
      (Params(1.0, 0.2741556778080377, 1.0471975511965976, 1.0, -0.5), 280)),
 ]

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from gdnls import (
     Field,
@@ -16,6 +17,8 @@ from gdnls import (
     NotProjectable,
     Params,
     SolitonSpec,
+    action_S,
+    closed_form_invariants,
     estimate_mu,
     homogeneity_split,
     modulate,
@@ -24,7 +27,6 @@ from gdnls import (
     profile_Phi,
     profile_phi,
     tilde_functionals,
-    variational,
 )
 from helpers import band_limited
 
@@ -112,24 +114,70 @@ def test_mu_reference_closed_forms():
 
 
 def test_mu_reference_endpoint_scaling():
-    """Along the massless family the level scales like c^(1 + 1/sigma); the
-    base levels are frozen from half-line quadratures of the closed form."""
+    """Along the massless family the level scales like c^(1 + 1/sigma); the base
+    levels are ||Phi'||^2 of the endpoint profile (2/sqrt(6) at sigma = 2 in
+    closed form, the sigma = 1.5 value from a half-line quadrature)."""
     base = mu_reference(Params(2.0, 0.25, 1.0, 1.0, -0.5))
-    assert base == pytest.approx(2.041241452319315, rel=1e-9)
+    assert base == pytest.approx(2 / math.sqrt(6), rel=1e-15)
     big = mu_reference(Params(2.0, 4.0, 4.0, 1.0, -0.5))
     assert big == pytest.approx(base * 4.0**1.5, rel=1e-12)
     mid = mu_reference(Params(1.5, 0.25, 1.0, 1.0, -0.5))
-    assert mid == pytest.approx(1.7309705337467058, rel=1e-9)
-    # the Beta-function forms reproduce the exact values at sigma = 1 and 2
-    assert variational._endpoint_base_level(1.0) == pytest.approx(math.pi / 2, rel=1e-15)
-    assert base == pytest.approx(5 / math.sqrt(6), rel=1e-15)
+    assert mid == pytest.approx(1.0652126361518186, rel=1e-9)
+    assert mu_reference(Params(1.0, 0.25, 1.0, 1.0, -0.5)) == math.pi / 2
+
+
+@pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
+def test_endpoint_level_is_the_gradient_norm(sigma):
+    """At the endpoint the level equals ||Phi'||^2, by direct quadrature of the
+    derivative of Phi = (a / (1 + (s c y)^2))^(1/(2s)), a = 2(s+1)c."""
+    s, c = sigma, 1.3
+    a = 2 * (s + 1) * c
+
+    def dphi2(y):
+        q = (s * c * y) ** 2
+        return ((a / (1 + q)) ** (1 / (2 * s)) * s * c * c * y / (1 + q)) ** 2
+
+    grad2 = 2 * quad(dphi2, 0, np.inf, epsabs=0, epsrel=1e-13, limit=500)[0]
+    assert mu_reference(Params(s, c * c / 4, c, 1.0, -0.5)) == pytest.approx(grad2, rel=1e-13)
 
 
 def test_mu_reference_continuity_toward_endpoint():
-    # interior level just inside the boundary vs the endpoint closed form
-    c = 2 * 0.999999
-    ref = mu_reference(Params(1.0, 1.0, c))
-    assert abs(ref - 2 * math.pi) / (2 * math.pi) < 1e-5
+    # interior levels just inside the boundary tend to the endpoint value
+    c = 2.0
+    for sigma in (1.0, 1.5, 2.0, 3.0):
+        edge = mu_reference(Params(sigma, 1.0, c, 1.0, -0.5))
+        gaps = [abs(mu_reference(Params(sigma, 1.0 + d, c)) - edge) / edge
+                for d in (1e-5, 1e-6, 1e-7)]
+        assert gaps[0] > gaps[1] > gaps[2], sigma
+        assert gaps[2] < 1e-5, sigma
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0, 3.0])
+def test_mu_reference_scaling_law(sigma):
+    # u -> lam^(1/(2 sigma)) u(lam x) maps (omega, c) to (lam^2 omega, lam c)
+    for w, c in ((1.0, 0.5), (2.0, -1.5), (0.25, 1.0)):
+        ab = (1.0, -0.5) if w == c * c / 4 else (1.0, 0.0)
+        mu = mu_reference(Params(sigma, w, c, *ab))
+        for lam in (0.1, 10.0, 100.0):
+            scaled = mu_reference(Params(sigma, lam**2 * w, lam * c, *ab))
+            assert scaled == pytest.approx(lam ** (1 + 1 / sigma) * mu, rel=1e-12), lam
+
+
+def test_mu_reference_at_large_speed_matches_the_sampled_wave():
+    """A grid-search candidate with z = c/(2 sqrt(omega)) near 1, where a fixed
+    box cannot resolve the wave; the action of a finely sampled profile can."""
+    c = 20.0
+    p = Params(2.0, c * c / 4 + 0.5, c)
+    r = math.sqrt(4 * p.omega - c * c)
+    phi = profile_phi(SolitonSpec(p.sigma, p.omega, c), Grid(400 / r, 2**17))
+    assert mu_reference(p) == pytest.approx(action_S(phi, p), rel=1e-12)
+
+
+def test_mu_reference_near_sigma_one_meets_the_closed_forms():
+    for w, c in ((1.0, 0.0), (1.0, 1.0), (2.0, -1.5), (1.0, 1.99)):
+        assert mu_reference(Params(1 + 1e-9, w, c)) == pytest.approx(
+            closed_form_invariants(w, c).action, rel=1e-8
+        )
 
 
 def test_mu_reference_outside_region():

@@ -21,6 +21,7 @@ from gdnls import (
     SigmaUnsupported,
     SolitonSpec,
     F_sigma,
+    J_nu,
     action_S,
     closed_form_invariants,
     elliptic_residual,
@@ -194,6 +195,15 @@ def test_F1_is_constant_minus_one():
     is a perfect derivative, so F must be -1 for every z."""
     for z in (-0.9, 0.0, 0.9):
         assert F_sigma(z, 1.0) == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_J_nu_at_one_is_the_arctan_form():
+    # int_0^inf dy / (cosh y - z) = 2 / sqrt(1 - z^2) * arctan(sqrt((1 + z) / (1 - z)))
+    for z in (-0.99, -0.5, 0.0, 0.5, 0.9, 0.999):
+        exact = 2 / math.sqrt(1 - z * z) * math.atan(math.sqrt((1 + z) / (1 - z)))
+        assert J_nu(1.0, z) == pytest.approx(exact, rel=1e-13)
+    with pytest.raises(ValueError):
+        J_nu(1.0, 1.0)
 
 
 def test_F_sigma_domain_checks():
