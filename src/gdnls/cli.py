@@ -70,14 +70,6 @@ DEFAULTS: dict = {
         "speed": 0.0,  # modulation speed for the modulated family
         "file": None,
     },
-    "search": {
-        "sigma": None,  # defaults to params.sigma
-        "c_min": 1.0,
-        "c_max": None,
-        "points": 40,
-        "strategies": None,
-        "strategy_hint": None,
-    },
     "minimize": {"max_iters": 60000, "grad_tol": 1e-5},
     "verify": {"fields": 30, "modes": 24},
     "zroot": {"sigmas": [1.2, 1.5, 1.8], "z_tol": 1e-8, "quad_tol": 1e-12},
@@ -339,13 +331,8 @@ def cmd_certify(cfg: dict) -> int:
     grid = _grid(cfg)
     u0 = _initial_data(cfg, grid)
     with _config_input():
-        s = {k: v for k, v in cfg["search"].items() if v is not None}
-        s.setdefault("sigma", cfg["params"]["sigma"])
-        if cfg["data"]["family"] == "modulated":
-            s.setdefault("strategy_hint", "modulation")
-        if "strategies" in s:
-            s["strategies"] = tuple(s["strategies"])
-        search = SearchConfig(**s)
+        hint = "modulation" if cfg["data"]["family"] == "modulated" else None
+        search = SearchConfig(cfg["params"]["sigma"], hint)
     result = certify_global(u0, search)
 
     found = isinstance(result, Certificate)

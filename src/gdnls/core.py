@@ -25,7 +25,6 @@ __all__ = [
     "require_admissible",
     "validate_params",
     "spectral_derivative",
-    "cumulative_integral",
     "require_finite",
     "is_grid_compatible",
     "modulate",
@@ -170,30 +169,10 @@ def require_finite(f: Field, what: str) -> Field:
     return f
 
 
-def cumulative_integral(f: Field) -> Field:
-    """Antiderivative F(x) = int_0^x f, with F(0) = 0 at the central node.
-
-    The mean-free part is inverted spectrally; the mean contributes a linear
-    term m*x which is exact but not periodic, so downstream spectral
-    derivatives of F are only meaningful when f has zero mean.
-    """
-    g = f.grid
-    v = f.values.real
-    m = float(np.mean(v))
-    vhat = np.fft.fft(v - m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ghat = np.where(g.k_first != 0, vhat / g.ik_first, 0.0)
-    ghat[0] = 0.0
-    G = np.fft.ifft(ghat).real
-    # x = 0 sits at node N/2 because N is even.
-    F = G - G[g.N // 2] + m * g.x
-    return f.with_values(F)
-
-
-def is_grid_compatible(grid: Grid, c: float, tol: float = 1e-9) -> bool:
-    """True when exp(i*c*x/2) is periodic on the box, i.e. c*L/(4*pi) is an integer."""
+def is_grid_compatible(grid: Grid, c: float) -> bool:
+    """True when exp(i*c*x/2) is periodic on the box, i.e. c*L/(4*pi) is an integer to 1e-9."""
     r = c * grid.L / (4 * np.pi)
-    return abs(r - round(r)) <= tol
+    return abs(r - round(r)) <= 1e-9
 
 
 def modulate(f: Field, c: float) -> Field:

@@ -6,8 +6,10 @@ flow, so exhibiting one admissible (omega, c, alpha, beta) with both signs
 right certifies a global solution.  The search exploits that the virial grows
 like c^2 * mass/4 while the level grows like c^(1+1/sigma) along the endpoint
 curve omega = c^2/4, so small-mass or negative-momentum data certify at large
-speed.  The candidates of a route do not depend on the data, so each route's
-table of admissible parameters and levels is built once per process and cached.
+speed.  The speeds form one fixed grid per box, a numerical device rather than
+part of the criterion; the candidates of a route therefore depend only on sigma
+and L, and each route's table of admissible parameters and levels is built once
+per process and cached.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ STRATEGY_TAGS = ("massless-scan", "negative-momentum", "modulation", "grid-searc
 # is absorbed.  See guo_wu_bound_values.
 C_QUARTIC_YOUNG = math.sqrt(3.0) / (9.0 * math.pi)
 
-# interior offsets omega - c^2/4 tried per speed in the grid-search route
+# the routes in scan order, and the interior offsets omega - c^2/4 tried per speed
+_ROUTES = ("massless-scan", "grid-search")
 _OMEGA_OFFSETS = (0.5, 2.0, 8.0)
 
 
@@ -91,34 +94,21 @@ class NotFound:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Candidate-parameter sweep for certify_global.
+    """Nonlinearity power and tag override for certify_global.
 
-    Speeds run geometrically from c_min to c_max (default 2^10 * c_min) in
-    `points` steps, each snapped to the nearest box-periodic value 4 pi m / L.
-    strategies controls which routes run and in what order; strategy_hint
-    overrides the tag on a successful endpoint scan when the caller knows the
-    construction (the modulated-profile route is not detectable from samples).
+    The scan itself is fixed: 40 speeds geometric in [1, 1024], each snapped to
+    the nearest box-periodic value 4 pi m / L, tried first on the endpoint
+    route and then on the interior route.  strategy_hint overrides the tag on a
+    successful endpoint scan when the caller knows the construction (the
+    modulated-profile route is not detectable from samples).
     """
 
     sigma: float = 1.0
-    c_min: float = 1.0
-    c_max: float | None = None
-    points: int = 40
-    strategies: tuple[str, ...] = ("massless-scan", "grid-search")
     strategy_hint: str | None = None
 
     def __post_init__(self) -> None:
         if not self.sigma >= 1:
             raise ValueError(f"sigma must be >= 1, got {self.sigma}")
-        if not self.c_min > 0:
-            raise ValueError("c_min must be positive")
-        if self.c_max is not None and not self.c_max > self.c_min:
-            raise ValueError("c_max must exceed c_min")
-        if self.points < 2:
-            raise ValueError("need at least 2 scan points")
-        for tag in self.strategies:
-            if tag not in ("massless-scan", "grid-search"):
-                raise ValueError(f"unknown search route {tag!r}")
         if self.strategy_hint is not None and self.strategy_hint not in STRATEGY_TAGS:
             raise ValueError(f"unknown strategy tag {self.strategy_hint!r}")
 
@@ -133,12 +123,10 @@ def membership(u0: Field, p: Params) -> Membership:
 
 
 @lru_cache(maxsize=32)
-def _speed_grid(cfg: SearchConfig, L: float) -> tuple[float, ...]:
-    c_max = cfg.c_max if cfg.c_max is not None else 2.0**10 * cfg.c_min
-    raw = np.geomspace(cfg.c_min, c_max, cfg.points)
+def _speed_grid(L: float) -> tuple[float, ...]:
     unit = 4 * math.pi / L
     out: list[float] = []
-    for c in raw:
+    for c in np.geomspace(1.0, 1024.0, 40):
         snapped = unit * max(1, round(c / unit))
         if not out or snapped != out[-1]:
             out.append(snapped)
@@ -174,8 +162,9 @@ def _route_table(sigma: float, route: str, speeds: tuple[float, ...]) -> _RouteT
 def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
     """Scan admissible parameters for a point where u0 sits in the good set.
 
-    The endpoint route sweeps omega = c^2/4 with (alpha, beta) = (1, -1/2);
-    the interior route additionally offsets omega and tries (1, 0).  The first
+    Both routes run over the fixed speed grid, the endpoint route first: it
+    sweeps omega = c^2/4 with (alpha, beta) = (1, -1/2); the interior route
+    additionally offsets omega and tries (1, 0).  The first
     admissible point with action <= level and virial >= 0 wins.  The endpoint
     tag records which mechanism made the data certifiable: small mass scans
     through, mass exactly at the borderline needs negative momentum, and
@@ -187,11 +176,11 @@ def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
         raise ZeroField("cannot certify the zero field")
     require_finite(u0, "initial data")
 
-    speeds = _speed_grid(search, u0.grid.L)
+    speeds = _speed_grid(u0.grid.L)
     mom = moments(u0, search.sigma)
     tried = 0
     best = (math.inf, None, math.nan, math.nan, math.nan)  # margin, params, action, level, virial
-    for route in search.strategies:
+    for route in _ROUTES:
         table = _route_table(search.sigma, route, speeds)
         if not table.params:
             continue
@@ -233,10 +222,10 @@ def guo_wu_bound_values(E: float, M: float, P: float) -> tuple[float, float]:
     """Arithmetic core of the a priori gradient bound; returns (X, bound).
 
     X bounds the fourth-power norm: ||u||_L4^4 <= 8 sqrt(pi) E sqrt(M) / |P|.
-    The gradient bound then closes through the gauge frame: the transformed
-    energy gives ||w_x||^2 = 2E + ||w||_L6^6/16, the quartic interpolation
-    bounds the sixth power by X^(8/3) ||w_x||^(2/3), and Young with weights
-    (3/4, 1/4) on the 1/3-2/3 split leaves
+    The gradient bound then closes through the gauge transform
+    w = u exp(i/4 int_{-inf}^x |u|^2): its energy gives ||w_x||^2 = 2E + ||w||_L6^6/16,
+    the quartic interpolation bounds the sixth power by X^(8/3) ||w_x||^(2/3),
+    and Young with weights (3/4, 1/4) on the 1/3-2/3 split leaves
 
         ||u_x||^2 <= 4E + 2 * C * X^2,   C = sqrt(3)/(9 pi).
     """

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Field, Params, cumulative_integral, spectral_derivative
+from .core import Field, Params, spectral_derivative
 from .errors import ZeroField
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "energy",
     "action_S",
     "virial_K",
-    "I_functional",
     "Moments",
     "moments",
     "sample_moments",
@@ -41,11 +40,6 @@ __all__ = [
     "tilde_functionals",
     "IdentityReport",
     "identity_suite",
-    "gauge_to_w",
-    "gauge_from_w",
-    "calE",
-    "calP",
-    "gw_momentum_floor",
     "agmon_ratio",
     "gn1_ratio",
     "gn2_ratio",
@@ -159,17 +153,6 @@ def virial_K(u: Field, p: Params) -> float:
     return moments(u, p.sigma).virial(p)
 
 
-def I_functional(u: Field, p: Params) -> float:
-    """Companion virial form without the L^(2s+2) term; equals virial_K when beta = 0."""
-    a, b, m = p.alpha, p.beta, moments(u, p.sigma)
-    return (
-        0.5 * (2 * a - b) * m.grad_sq
-        + 0.5 * (2 * a + b) * p.omega * m.mass
-        + p.c * a * m.momentum
-        - a * m.nonlinear
-    )
-
-
 class TildeValues(NamedTuple):
     action: float
     virial: float
@@ -268,46 +251,6 @@ def identity_suite(u: Field, p: Params) -> IdentityReport:
     )
 
     return IdentityReport(residuals, scales)
-
-
-# ---------------------------------------------------------------------------
-# The cubic-case (sigma = 1) gauge frame.
-
-
-def _gauge_phase(u: Field) -> np.ndarray:
-    """(1/4) int_{left edge}^{x} |u|^2, the left box edge standing in for -infinity."""
-    run = cumulative_integral(Field(u.grid, np.abs(u.values) ** 2)).values.real
-    return 0.25 * (run - run[0])
-
-
-def gauge_to_w(u: Field) -> Field:
-    """Divide out the derivative-coupling phase (sigma = 1); |w| = |u|."""
-    return u.with_values(u.values * np.exp(1j * _gauge_phase(u)))
-
-
-def gauge_from_w(w: Field) -> Field:
-    """Inverse of gauge_to_w; exact round trip since |w| determines the phase."""
-    return w.with_values(w.values * np.exp(-1j * _gauge_phase(w)))
-
-
-def calE(w: Field) -> float:
-    """Energy seen in the gauge frame: ||w_x||^2/2 - ||w||_6^6/32."""
-    return 0.5 * _grad_sq(w) - _lpp(w, 6.0) / 32.0
-
-
-def calP(w: Field) -> float:
-    """Momentum seen in the gauge frame: Re int i w_x conj(w) + ||w||_4^4/4."""
-    return momentum(w) + 0.25 * _lpp(w, 4.0)
-
-
-def gw_momentum_floor(w: Field) -> float:
-    """Lower bound for calP(w) in terms of calE and the L^2/L^4 norms (sigma = 1)."""
-    l4 = _lpp(w, 4.0)
-    if l4 == 0.0:
-        raise ZeroField("momentum floor undefined for the zero field")
-    l2 = math.sqrt(mass(w))
-    rp = math.sqrt(math.pi)
-    return 0.25 * l4 * (1 - l2 / (2 * rp)) - 8 * rp * calE(w) * l2 / l4
 
 
 # ---------------------------------------------------------------------------

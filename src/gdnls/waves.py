@@ -29,7 +29,6 @@ __all__ = [
     "profile_phi",
     "traveling_wave",
     "elliptic_residual",
-    "first_integral_residual",
     "ClosedFormInvariants",
     "closed_form_invariants",
     "J_nu",
@@ -145,29 +144,6 @@ def elliptic_residual(Phi: Field, p: Params) -> float:
     return float(np.sqrt(Phi.grid.dx * np.sum(np.abs(r) ** 2)))
 
 
-def first_integral_residual(Phi: Field, p: Params) -> float:
-    """Sup norm of the first integral of the profile equation.
-
-    Multiplying the profile equation by Phi' and integrating once (decay fixes
-    the constant at zero) gives, pointwise,
-
-        -(Phi')^2/2 + (omega - c^2/4) Phi^2 / 2
-            + c Phi^(2s+2) / (4s+4) - Phi^(4s+2) / (2*(2s+2)^2) = 0,
-
-    where the last coefficient uses (2s+1)/(4s+2) = 1/2.
-    """
-    s = p.sigma
-    a = Phi.values.real
-    da = spectral_derivative(Phi.grid, np.fft.fft(a)).real
-    G = (
-        -0.5 * da**2
-        + 0.5 * (p.omega - p.c * p.c / 4) * a**2
-        + p.c / (4 * s + 4) * np.abs(a) ** (2 * s + 2)
-        - 0.5 / (2 * s + 2) ** 2 * np.abs(a) ** (4 * s + 2)
-    )
-    return float(np.max(np.abs(G)))
-
-
 class ClosedFormInvariants(NamedTuple):
     mass: float
     momentum: float
@@ -175,11 +151,9 @@ class ClosedFormInvariants(NamedTuple):
     action: float
 
 
-def closed_form_invariants(omega: float, c: float, sigma: float = 1.0) -> ClosedFormInvariants:
-    """Exact mass/momentum/energy/action of the solitary wave (sigma = 1 only)."""
-    if sigma != 1.0:
-        raise SigmaUnsupported(f"closed forms only available for sigma = 1, got {sigma}")
-    if require_admissible(sigma, omega, c):
+def closed_form_invariants(omega: float, c: float) -> ClosedFormInvariants:
+    """Exact mass/momentum/energy/action of the sigma = 1 solitary wave."""
+    if require_admissible(1.0, omega, c):
         mass = 4 * math.pi
         momentum = 0.0
         energy = 0.0

@@ -1,8 +1,10 @@
 """Shared constructions for the test suite: parameter pool and random fields."""
 
+import math
+
 import numpy as np
 
-from gdnls import Field, Params
+from gdnls import Field, Params, membership
 
 # Validated parameter points spanning interior/endpoint cases, both signs of
 # beta, moving and standing frames, and several nonlinearity powers.
@@ -51,3 +53,17 @@ def count_ffts(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def best_endpoint_margin(u):
+    """Least max(S - mu, -K) over the endpoint candidates (sigma = 1) of the fixed scan.
+
+    The speeds are rebuilt here: 40 geometric in [1, 1024], each snapped to 4 pi m / L.
+    """
+    unit = 4 * math.pi / u.grid.L
+    speeds = {unit * max(1, round(c / unit)) for c in np.geomspace(1.0, 1024.0, 40)}
+    best = math.inf
+    for c in speeds:
+        m = membership(u, Params(1.0, c * c / 4, c, 1.0, -0.5))
+        best = min(best, max(m.action - m.level, -m.virial))
+    return best

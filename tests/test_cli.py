@@ -9,9 +9,10 @@ import os
 import numpy as np
 import pytest
 
-from gdnls import Field, Grid, save_field
+from gdnls import Field, Grid, mass, save_field
 from gdnls import cli
 from gdnls.cli import main
+from helpers import best_endpoint_margin
 
 
 @pytest.fixture
@@ -68,10 +69,14 @@ def test_config_errors_exit_2(outdir, tmp_path):
 
 
 def test_retired_scheme_and_descent_keys_are_unknown(outdir, capsys):
-    # dealiasing, the CFL fraction and the descent step are fixed by the schemes
+    # dealiasing, the CFL fraction and the descent step are fixed by the schemes;
+    # the certificate scan is fixed, and certify reads sigma and the hint from params and data
+    search = (("sigma", "1"), ("c_min", "1.0"), ("c_max", "2048"), ("points", "80"),
+              ("strategies", '["massless-scan"]'), ("strategy_hint", "modulation"))
     for argv in (["simulate", "--scheme.dealias", "false"],
                  ["simulate", "--scheme.cfl_safety", "0.3"],
-                 ["minimize-mu", "--minimize.step", "0.5"]):
+                 ["minimize-mu", "--minimize.step", "0.5"],
+                 *(["certify", f"--search.{key}", val] for key, val in search)):
         assert main(argv) == 2, argv
         assert "unknown config key" in capsys.readouterr().err, argv
 
@@ -85,7 +90,7 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
         ["simulate", "--scheme.dt", "fast"],
         ["simulate", "--sample_every", "0", "--grid.N", "512"],
         ["simulate", "--data.family", "file", "--data.file", str(tmp_path / "absent.json")],
-        ["certify", "--search.points", "1", "--grid.N", "512"],
+        ["certify", "--params.sigma", "0.5", "--grid.N", "512"],
         ["minimize-mu", "--minimize.grad_tol", "0"],
         ["verify", "--verify.fields", "many"],
         ["zroot", "--zroot.sigmas", "[2.5]"],
@@ -161,12 +166,14 @@ def test_certify_modulated_family_gets_hint(outdir):
 
 
 def test_certify_not_found_exits_1(outdir):
-    code = main(["certify", "--grid.N", "512", "--data.mass_pi", "6.0",
-                 "--search.strategies", '["massless-scan"]'])
+    code = main(["certify", "--grid.N", "512", "--data.mass_pi", "6.0"])
     assert code == 1
     doc = json.loads((outdir / "notfound.json").read_text())
-    assert doc["tried"] == 40
-    assert doc["margin"] > 0
+    assert doc["tried"] == 280
+    g = Grid(60.0, 512)
+    u = Field(g, np.exp(-(g.x**2)).astype(complex))
+    u = u.with_values(u.values * math.sqrt(6.0 * math.pi / mass(u)))
+    assert 0 < doc["margin"] <= best_endpoint_margin(u)
     man = _manifest(outdir)
     assert man["metrics"]["found"] is False
 

@@ -13,7 +13,6 @@ from gdnls import (
     IncompatibleModulation,
     NotAdmissible,
     Params,
-    cumulative_integral,
     is_grid_compatible,
     load_field,
     modulate,
@@ -84,20 +83,6 @@ def test_spectral_derivative_exact_on_modes():
         spectral_derivative(g, uh, order=3)
     with pytest.raises(ValueError):
         g.ik_first[1] = 0.0  # the cached symbol is read-only
-
-
-def test_cumulative_integral_of_cosine():
-    g = Grid(2 * math.pi, 128)
-    F = cumulative_integral(Field(g, np.cos(g.x)))
-    assert np.allclose(F.values.real, np.sin(g.x), atol=1e-12)
-    assert F.values.real[g.N // 2] == 0.0  # anchored at x = 0
-
-
-def test_cumulative_integral_mean_ramp():
-    # a nonzero mean integrates to an exact linear ramp through the origin
-    g = Grid(10.0, 64)
-    F = cumulative_integral(Field(g, np.full(64, 3.0)))
-    assert np.allclose(F.values.real, 3.0 * g.x, atol=1e-12)
 
 
 def test_modulation_requires_periodic_half_wave():

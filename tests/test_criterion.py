@@ -18,6 +18,7 @@ from gdnls import (
     Inapplicable,
     NotFound,
     Params,
+    SchemeConfig,
     SearchConfig,
     SolitonSpec,
     ZeroField,
@@ -27,6 +28,7 @@ from gdnls import (
     energy,
     guo_wu_bound,
     guo_wu_bound_values,
+    integrate,
     is_grid_compatible,
     mass,
     membership,
@@ -34,7 +36,7 @@ from gdnls import (
     profile_phi,
     tilde_functionals,
 )
-from helpers import count_ffts
+from helpers import best_endpoint_margin, count_ffts
 
 
 def _gaussian_with_mass(g, mass_pi, boost=0.0):
@@ -74,16 +76,9 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(sigma=0.5)
     with pytest.raises(ValueError):
-        SearchConfig(c_min=0.0)
-    with pytest.raises(ValueError):
-        SearchConfig(c_min=2.0, c_max=1.0)
-    with pytest.raises(ValueError):
-        SearchConfig(points=1)
-    with pytest.raises(ValueError):
-        SearchConfig(strategies=("modulation",))
-    with pytest.raises(ValueError):
         SearchConfig(strategy_hint="whatever")
-    assert "omega_offsets" not in {f.name for f in fields(SearchConfig)}
+    # the speed grid and the route order are fixed; only these two are settings
+    assert tuple(f.name for f in fields(SearchConfig)) == ("sigma", "strategy_hint")
 
 
 def test_certify_rejects_degenerate_data():
@@ -171,12 +166,12 @@ def test_certify_not_found_keeps_best_margin():
     with pytest.warns(UserWarning):
         phi = profile_phi(SolitonSpec(1.0, cw * cw / 4, cw), g)
     u = phi.with_values(1.05 * phi.values)  # 10 percent over critical mass
-    res = certify_global(u, SearchConfig(sigma=1.0, strategies=("massless-scan",)))
+    res = certify_global(u, SearchConfig(sigma=1.0))
     assert isinstance(res, NotFound)
-    assert res.tried == 40
+    assert res.tried == 280
     assert res.params is not None
-    assert res.margin > 0
-    assert res.margin == pytest.approx(0.3459, abs=2e-2)
+    # the interior route can only lower the best miss of the endpoint route
+    assert 0 < res.margin <= best_endpoint_margin(u)
 
 
 def _modulated_sigma2():
@@ -214,8 +209,8 @@ def test_route_pass_is_the_scalar_rule(build, search):
     """Walking the tables in scan order with the scalar membership gives the same outcome."""
     u = build()
     res = certify_global(u, search)
-    speeds = criterion._speed_grid(search, u.grid.L)
-    scan = [p for route in search.strategies
+    speeds = criterion._speed_grid(u.grid.L)
+    scan = [p for route in ("massless-scan", "grid-search")
             for p in criterion._route_table(search.sigma, route, speeds).params]
     first, best = None, None
     for i, p in enumerate(scan):
@@ -275,6 +270,12 @@ def test_guo_wu_bound_on_boosted_gaussian():
     # the bound must actually dominate the gradient it controls
     grad_sq = g.dx * float(np.sum(np.abs(np.fft.ifft(1j * g.k_first * np.fft.fft(u.values))) ** 2))
     assert grad_sq <= bound
+    # and keep dominating it along the certified flow
+    cert = certify_global(u, SearchConfig(sigma=1.0))
+    assert isinstance(cert, Certificate)
+    traj = integrate(u, SchemeConfig(dt=1e-3, T=1.0), Params(1.0, 1.0, 0.0), cert=cert)
+    assert not traj.blowup and traj.times[-1] == pytest.approx(1.0, abs=1e-12)
+    assert max(r.h1_seminorm**2 for r in traj.records) <= bound
 
 
 def test_guo_wu_bound_guards():

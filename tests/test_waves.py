@@ -1,7 +1,6 @@
 """Solitary-wave profiles checked against their defining ODE, not against
-themselves: the residual tests rebuild the profile equation and its first
-integral from scratch, and the invariant tests compare quadrature on the grid
-with independent closed forms.
+themselves: the residual tests rebuild the profile equation from scratch, and
+the invariant tests compare quadrature on the grid with independent closed forms.
 """
 
 import math
@@ -18,7 +17,6 @@ from gdnls import (
     NoBracket,
     NotAdmissible,
     Params,
-    SigmaUnsupported,
     SolitonSpec,
     F_sigma,
     J_nu,
@@ -26,7 +24,6 @@ from gdnls import (
     closed_form_invariants,
     elliptic_residual,
     energy,
-    first_integral_residual,
     mass,
     momentum,
     profile_Phi,
@@ -67,17 +64,10 @@ def test_amplitude_peak_massless_branch_warns_on_small_box():
 
 def test_elliptic_residual_small_across_sigma():
     g = Grid(60.0, 2048)
-    for s, w, c in ((1.0, 1.0, 0.0), (2.0, 1.0, 0.5), (3.0, 1.0, 0.5)):
+    for s, w, c in ((1.0, 1.0, 0.0), (2.0, 1.0, 0.5), (3.0, 1.0, 0.5), (1.5, 2.0, -1.0)):
         spec = SolitonSpec(s, w, c)
         res = elliptic_residual(profile_Phi(spec, g), Params(s, w, c))
         assert res < 1e-8, (s, w, c, res)
-
-
-def test_first_integral_residual():
-    g = Grid(60.0, 2048)
-    spec = SolitonSpec(1.5, 2.0, -1.0)
-    Phi = profile_Phi(spec, g)
-    assert first_integral_residual(Phi, Params(1.5, 2.0, -1.0)) < 1e-10
 
 
 def test_full_wave_modulus_and_phase_slope():
@@ -172,8 +162,6 @@ def test_closed_form_invariants_pinned():
 
 
 def test_closed_form_invariants_rejections():
-    with pytest.raises(SigmaUnsupported):
-        closed_form_invariants(1.0, 0.0, sigma=2.0)
     with pytest.raises(NotAdmissible):
         closed_form_invariants(0.2, 1.0)
     with pytest.raises(NotAdmissible):
