@@ -55,7 +55,6 @@ class ConfigError(Exception):
 
 DEFAULTS: dict = {
     "out": "gdnls-out",
-    "seed": 0,
     "sample_every": 10,
     "grid": {"L": 60.0, "N": 4096},
     "params": {"sigma": 1.0, "omega": 1.0, "c": 0.0, "alpha": 1.0, "beta": 0.0},
@@ -70,30 +69,22 @@ DEFAULTS: dict = {
         "speed": 0.0,  # modulation speed for the modulated family
         "file": None,
     },
-    "minimize": {"max_iters": 60000, "grad_tol": 1e-5},
-    "verify": {"fields": 30, "modes": 24},
-    "zroot": {"sigmas": [1.2, 1.5, 1.8], "z_tol": 1e-8, "quad_tol": 1e-12},
+    "minimize": {"grad_tol": 1e-5},
+    "verify": {"fields": 30},
+    "zroot": {"sigmas": [1.2, 1.5, 1.8]},
 }
 
 
-def _reject_unknown(cfg, schema, path=""):
-    if not isinstance(cfg, dict):
+def _overlay(base: dict, over, path: str = "") -> dict:
+    """A copy of base with over laid on top; a key base lacks is an error, a section recurses."""
+    if not isinstance(over, dict):
         raise ConfigError(f"expected an object at {path or 'top level'}")
-    for key, val in cfg.items():
-        where = f"{path}.{key}" if path else key
-        if key not in schema:
-            raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(schema[key], dict):
-            _reject_unknown(val, schema[key], where)
-
-
-def _merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = val
+    for key, val in over.items():
+        where = f"{path}.{key}" if path else key
+        if key not in base:
+            raise ConfigError(f"unknown config key {where!r}")
+        out[key] = _overlay(base[key], val, where) if isinstance(base[key], dict) else val
     return out
 
 
@@ -130,10 +121,7 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"cannot read config {config_path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {config_path!r} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-    _reject_unknown(cfg, DEFAULTS)
-    over = _parse_overrides(overrides)
-    _reject_unknown(over, DEFAULTS)
-    resolved = _merge(_merge(DEFAULTS, cfg), over)
+    resolved = _overlay(_overlay(DEFAULTS, cfg), _parse_overrides(overrides))
     env_out = os.environ.get("GDNLS_OUT")
     if env_out:
         resolved["out"] = env_out
@@ -290,9 +278,9 @@ def cmd_soliton(cfg: dict) -> int:
 def cmd_verify(cfg: dict) -> int:
     run = Run("verify", cfg)
     grid = _grid(cfg)
+    rng, modes = np.random.default_rng(0), 24  # one fixed corpus, spectra on |m| <= 24
     with _config_input():
-        rng = np.random.default_rng(int(cfg["seed"]))
-        n_fields, modes = int(cfg["verify"]["fields"]), int(cfg["verify"]["modes"])
+        n_fields = int(cfg["verify"]["fields"])
     param_pool = [
         Params(1.0, 1.0, 0.0, 1.0, 0.0),
         Params(1.0, 1.0, 1.0, 1.0, -1.0),
@@ -352,10 +340,8 @@ def cmd_certify(cfg: dict) -> int:
 def cmd_minimize_mu(cfg: dict) -> int:
     run = Run("minimize-mu", cfg)
     p = _params(cfg)
-    m = cfg["minimize"]
     with _config_input():
-        mc = MinimizeConfig(max_iters=int(m["max_iters"]), grad_tol=float(m["grad_tol"]),
-                            grid=_grid(cfg))
+        mc = MinimizeConfig(grad_tol=float(cfg["minimize"]["grad_tol"]), grid=_grid(cfg))
     est = estimate_mu(p, mc)
     ref = mu_reference(p)
     rel = abs(est.mu - ref) / abs(ref)
@@ -408,14 +394,12 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_zroot(cfg: dict) -> int:
     run = Run("zroot", cfg)
-    z = cfg["zroot"]
     with _config_input():
-        sigmas = [float(s) for s in z["sigmas"]]
-        z_tol, quad_tol = float(z["z_tol"]), float(z["quad_tol"])
+        sigmas = [float(s) for s in cfg["zroot"]["sigmas"]]
     rows = []
     for s in sigmas:
-        root = z0_root(s, z_tol=z_tol, quad_tol=quad_tol)
-        resid = abs(F_sigma(root, s, tol=quad_tol))
+        root = z0_root(s)
+        resid = abs(F_sigma(root, s))
         rows.append((s, repr(root), repr(resid)))
         run.check(f"zroot_residual_sigma_{s}", resid, 1e-6, resid < 1e-6)
     _write_csv(run.path("zroot.csv"), "sigma,z0,absF", rows)

@@ -109,6 +109,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not self.sigma >= 1:
             raise ValueError(f"sigma must be >= 1, got {self.sigma}")
+        # a float: the route tables are cached on sigma, where 1 and 1.0 are one key
+        object.__setattr__(self, "sigma", float(self.sigma))
         if self.strategy_hint is not None and self.strategy_hint not in STRATEGY_TAGS:
             raise ValueError(f"unknown strategy tag {self.strategy_hint!r}")
 
@@ -188,8 +190,8 @@ def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
         good = (action <= table.level) & (virial >= 0)
         i = int(np.argmax(good))
         if good[i]:
-            tag = search.strategy_hint or (
-                _endpoint_tag(mom) if route == "massless-scan" else "grid-search")
+            tag = ((search.strategy_hint or _endpoint_tag(mom)) if route == "massless-scan"
+                   else "grid-search")
             return Certificate(table.params[i], float(action[i]), float(table.level[i]),
                                float(virial[i]), tag)
         tried += len(table.params)

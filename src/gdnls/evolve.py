@@ -181,10 +181,14 @@ def integrate(
 
     The virial, shifted-gradient and action columns use the certificate's
     parameters when one is attached, otherwise p; the trajectory records that
-    frame, and a certificate for another sigma is refused.  A fixed-step run
-    shortens its last step to end at T.  Blow-up (overflow, non-finite values,
-    or sup-norm growth beyond 1e6 of the initial) truncates the trajectory:
-    the last good field is kept and the final record carries the blowup flag.
+    frame, and a certificate for another sigma is refused.  Every step is
+    cfg.dt unless less time than that is left (beyond roundoff), when it is
+    the time left; an adaptive run also caps it by the amplitude CFL rule.  A
+    fixed-step run sits at min(n dt, T) after n steps and ends at T; an
+    adaptive run stops short only at its budget of 20 round(T/dt) steps.
+    Blow-up (overflow, non-finite values, or sup-norm growth beyond 1e6 of the
+    initial) truncates the trajectory: the last good field is kept and the
+    final record carries the blowup flag.
     """
     validate_params(p)
     if sample_every < 1:
@@ -207,45 +211,33 @@ def integrate(
         fields.append(Field(grid, stepper.u))
         records.append(_diagnostics(stepper.u, stepper.ux, grid.dx, t, p, diag_p, blowup))
 
-    n_steps = max(1, round(cfg.T / cfg.dt))
-    last_dt = cfg.dt
-    if not cfg.adaptive and abs(n_steps * cfg.dt - cfg.T) > 1e-12 * cfg.T:
-        n_steps = math.ceil(cfg.T / cfg.dt)
-        last_dt = cfg.T - (n_steps - 1) * cfg.dt
-    # Adaptive runs march by time; a step budget keeps a collapsing dt from
-    # spinning forever (clean truncation, not an error).
-    budget = 20 * n_steps if cfg.adaptive else n_steps
-    t = 0.0
-    n = 0
-    while n < budget:
-        if cfg.adaptive and t >= cfg.T * (1 - 1e-12):
-            break
+    # the budget only binds when the CFL cap collapses dt (clean truncation, not an error)
+    budget = 20 * max(1, round(cfg.T / cfg.dt))
+    t, n, blowup = 0.0, 0, False
+    while n < budget and cfg.T - t > 1e-12 * cfg.T:
         amp = float(np.max(np.abs(stepper.u)))  # sup norm of the state before the step
+        left = cfg.T - t
+        dt = left if cfg.dt - left > 1e-12 * cfg.T else cfg.dt
         if cfg.adaptive:
-            cap = _CFL_SAFETY * grid.dx / max(1.0, amp ** (2 * p.sigma))
-            dt_new = min(cfg.dt, cap, cfg.T - t)
-        else:
-            dt_new = last_dt if n == n_steps - 1 else cfg.dt
-        if dt_new != stepper.dt:
-            stepper.set_dt(dt_new)
+            dt = min(dt, _CFL_SAFETY * grid.dx / max(1.0, amp ** (2 * p.sigma)))
+        if dt != stepper.dt:
+            stepper.set_dt(dt)
         try:
             stepper.advance()
         except Overflow:
-            # the stepper still holds the last finite state; keep it as the terminal sample
-            if records[-1].t == t:
-                records[-1] = replace(records[-1], blowup=True)
-            else:
-                sample(t, True)
-            return Trajectory(fields, records, diag_p)
+            blowup = True  # the stepper still holds the last finite state, the one at t
+            break
         n += 1
-        t = t + stepper.dt if cfg.adaptive else min(n * cfg.dt, cfg.T)
+        t = min(t + dt if cfg.adaptive else n * cfg.dt, cfg.T)
         if amp > _AMPLITUDE_CAP * amp0:
-            sample(t, True)
-            return Trajectory(fields, records, diag_p)
+            blowup = True
+            break
         if n % sample_every == 0:
             sample(t, False)
     if records[-1].t != t:
-        sample(t, False)
+        sample(t, blowup)
+    elif blowup:
+        records[-1] = replace(records[-1], blowup=True)
     return Trajectory(fields, records, diag_p)
 
 

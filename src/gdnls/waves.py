@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .core import Field, Grid, Params, require_admissible, spectral_derivative
 from .errors import BoundaryProximity, NoBracket, QuadratureFailure, SigmaUnsupported
@@ -217,28 +218,13 @@ def F_sigma(z: float, sigma: float, tol: float = 1e-12) -> float:
 
 
 def z0_root(sigma: float, z_tol: float = 1e-8, quad_tol: float = 1e-12) -> float:
-    """Unique zero of F_sigma on (-1, 1), located by a bracket scan plus bisection."""
+    """Unique zero of F_sigma on (-1, 1): a 41-point bracket scan, then brentq to z_tol."""
     if not 1 < sigma < 2:
         raise SigmaUnsupported(f"z0_root requires 1 < sigma < 2, got {sigma}")
     eps = 1e-3
     zs = np.linspace(-1 + eps, 1 - eps, 41)
     fs = [F_sigma(float(z), sigma, quad_tol) for z in zs]
-    lo = hi = None
     for i in range(len(zs) - 1):
-        if fs[i] == 0.0:
-            return float(zs[i])
-        if fs[i] * fs[i + 1] < 0:
-            lo, hi, flo = float(zs[i]), float(zs[i + 1]), fs[i]
-            break
-    if lo is None:
-        raise NoBracket(f"no sign change of F_sigma on [{zs[0]:.3f}, {zs[-1]:.3f}]")
-    while hi - lo > z_tol:
-        mid = 0.5 * (lo + hi)
-        fm = F_sigma(mid, sigma, quad_tol)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+        if fs[i] * fs[i + 1] <= 0:
+            return brentq(F_sigma, zs[i], zs[i + 1], args=(sigma, quad_tol), xtol=z_tol / 2)
+    raise NoBracket(f"no sign change of F_sigma on [{zs[0]:.3f}, {zs[-1]:.3f}]")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gdnls import Field, Grid, mass, save_field
-from gdnls import cli
+from gdnls import cli, criterion
 from gdnls.cli import main
 from helpers import best_endpoint_margin
 
@@ -70,12 +70,18 @@ def test_config_errors_exit_2(outdir, tmp_path):
 
 def test_retired_scheme_and_descent_keys_are_unknown(outdir, capsys):
     # dealiasing, the CFL fraction and the descent step are fixed by the schemes;
-    # the certificate scan is fixed, and certify reads sigma and the hint from params and data
+    # the certificate scan is fixed, and certify reads sigma and the hint from params and data;
+    # the verify corpus, the descent's iteration cap and the root tolerances are library defaults
     search = (("sigma", "1"), ("c_min", "1.0"), ("c_max", "2048"), ("points", "80"),
               ("strategies", '["massless-scan"]'), ("strategy_hint", "modulation"))
     for argv in (["simulate", "--scheme.dealias", "false"],
                  ["simulate", "--scheme.cfl_safety", "0.3"],
                  ["minimize-mu", "--minimize.step", "0.5"],
+                 ["minimize-mu", "--minimize.max_iters", "100"],
+                 ["verify", "--seed", "1"],
+                 ["verify", "--verify.modes", "12"],
+                 ["zroot", "--zroot.z_tol", "1e-6"],
+                 ["zroot", "--zroot.quad_tol", "1e-10"],
                  *(["certify", f"--search.{key}", val] for key, val in search)):
         assert main(argv) == 2, argv
         assert "unknown config key" in capsys.readouterr().err, argv
@@ -143,6 +149,12 @@ def test_certify_gaussian_writes_certificate(outdir, tmp_path):
     assert doc["action"] <= doc["level"]
     man = _manifest(outdir)
     assert man["metrics"]["found"] is True
+
+
+def test_certify_integer_sigma_writes_a_float(outdir):
+    criterion._route_table.cache_clear()  # a table cached for sigma = 1.0 would hide an int
+    assert main(["certify", "--grid.N", "1024", "--data.mass_pi", "3.9", "--params.sigma", "1"]) == 0
+    assert '"sigma": 1.0,' in (outdir / "certificate.json").read_text()
 
 
 def test_certify_boosted_data_negative_momentum(outdir):

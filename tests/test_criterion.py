@@ -79,6 +79,17 @@ def test_search_config_validation():
         SearchConfig(strategy_hint="whatever")
     # the speed grid and the route order are fixed; only these two are settings
     assert tuple(f.name for f in fields(SearchConfig)) == ("sigma", "strategy_hint")
+    assert type(SearchConfig(sigma=1).sigma) is float
+
+
+def test_certificate_sigma_is_a_float_in_either_call_order():
+    # the route tables are cached on sigma, where 1 and 1.0 are one key
+    u = _gaussian_with_mass(Grid(60.0, 1024), 3.9)
+    for order in ((1, 1.0), (1.0, 1)):
+        criterion._route_table.cache_clear()
+        for sigma in order:
+            res = certify_global(u, SearchConfig(sigma=sigma))
+            assert isinstance(res, Certificate) and type(res.params.sigma) is float, order
 
 
 def test_certify_rejects_degenerate_data():
@@ -179,6 +190,17 @@ def _modulated_sigma2():
     return corollary15_data(Field(g, (1.2 * np.exp(-(g.x**2) / 4)).astype(complex)), 12.8)
 
 
+def _interior_sigma2():
+    g = Grid(60.0, 1024)
+    return Field(g, 1.5 * np.exp(-(g.x**2)))
+
+
+def test_hint_tags_endpoint_hits_only():
+    # this datum certifies on the interior route, whose tag the hint leaves alone
+    res = certify_global(_interior_sigma2(), SearchConfig(sigma=2.0, strategy_hint="modulation"))
+    assert res.strategy == "grid-search"
+
+
 PINNED = [
     (lambda: _gaussian_with_mass(Grid(60.0, 1024), 3.9), SearchConfig(sigma=1.0),
      (Params(1.0, 52.210207281762706, 14.451326206513048, 1.0, -0.5), "massless-scan")),
@@ -189,6 +211,8 @@ PINNED = [
      (Params(2.0, 17.64, 8.4, 1.0, -0.5), "modulation")),
     (lambda: _gaussian_with_mass(Grid(60.0, 1024), 4.5), SearchConfig(sigma=1.0),
      (Params(1.0, 0.2741556778080377, 1.0471975511965976, 1.0, -0.5), 280)),
+    (_interior_sigma2, SearchConfig(sigma=2.0),
+     (Params(2.0, 2.2741556778080376, 1.0471975511965976, 1.0, 0.0), "grid-search")),
 ]
 
 

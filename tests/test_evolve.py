@@ -162,6 +162,30 @@ def test_adaptive_budget_truncates_supercritical_collapse():
     assert traj.records[-1].h1_seminorm > 10 * traj.records[0].h1_seminorm
 
 
+def test_growth_cap_truncates_with_one_flagged_last_record(monkeypatch):
+    # the collapse datum above more than doubles its sup norm well before T
+    monkeypatch.setattr(evolve, "_AMPLITUDE_CAP", 2.0)
+    g = Grid(60.0, 512)
+    phi = profile_phi(SolitonSpec(3.0, 1.0, 0.0), g)
+    hot = phi.with_values(3.0 * phi.values)
+    traj = integrate(hot, SchemeConfig(dt=1e-3, T=0.2, adaptive=True), Params(3.0, 1.0, 0.0),
+                     sample_every=10)
+    flagged = [i for i, r in enumerate(traj.records) if r.blowup]
+    assert flagged == [len(traj.records) - 1]
+    assert traj.records[-1].t == traj.times[-1] < 0.2
+    assert len(traj.fields) == len(traj.records)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 3e-3])
+def test_fixed_step_times_are_multiples_of_dt_clipped_at_T(dt):
+    # 3e-3 does not divide T: its last step is shortened and lands on T exactly
+    g = Grid(60.0, 256)
+    phi = profile_phi(SolitonSpec(1.0, 1.0, 0.0), g)
+    traj = integrate(phi, SchemeConfig(dt=dt, T=2.0), Params(1.0, 1.0, 0.0), sample_every=1)
+    assert traj.times == [min(n * dt, 2.0) for n in range(len(traj.times))]
+    assert traj.times[-1] == 2.0
+
+
 def test_zero_data_stays_zero():
     g = Grid(60.0, 256)
     traj = integrate(Field(g, np.zeros(256)), SchemeConfig(dt=1e-2, T=0.1), Params(1.0, 1.0, 0.0))

@@ -222,7 +222,7 @@ def test_z0_root_domain():
 
 
 def test_quadrature_failure_types_exist():
-    # smoke check that the bisection scan raises the dedicated error when the
+    # smoke check that the bracket scan raises the dedicated error when the
     # function cannot bracket; sigma extremely close to 1 keeps F < 0 everywhere
     with pytest.raises((NoBracket, ValueError)):
         z0_root(1.0 + 1e-12)
