@@ -348,7 +348,9 @@ def cmd_minimize_mu(cfg: dict) -> int:
     _write_csv(run.path("mu.csv"), "mu,reference,rel_err,iterations,converged",
                [(repr(est.mu), repr(ref), repr(rel), est.iterations, int(est.converged))])
     run.metrics.update({"mu": est.mu, "reference": ref, "rel_err": rel,
-                        "iterations": est.iterations, "trials": est.trials})
+                        "iterations": est.iterations, "trials": est.trials,
+                        "backtracks": est.trials - (len(est.history) - 1),
+                        "grad_norm": est.grad_norms[-1]})
     run.check("converged", 1.0 if est.converged else 0.0, 1.0, est.converged)
     run.check("mu_matches_reference", rel, 1e-3, rel < 1e-3)
     return run.finish()
@@ -370,7 +372,9 @@ def cmd_simulate(cfg: dict) -> int:
     save_field(traj.final, run.path("final_field.json"), t=traj.times[-1])
 
     r0 = traj.records[0]
-    drift = lambda get: max(abs(get(r) - get(r0)) / max(abs(get(r0)), 1.0) for r in traj.records)
+    # np.max, unlike the builtin, lets a NaN record (a blown-up run) through
+    drift = lambda get: float(np.max([abs(get(r) - get(r0)) for r in traj.records])) / max(
+        abs(get(r0)), 1.0)
     dM, dE, dP = drift(lambda r: r.mass), drift(lambda r: r.energy), drift(lambda r: r.momentum)
     summary = {"final_t": traj.times[-1], "blowup": int(traj.blowup),
                "drift_M": dM, "drift_E": dE, "drift_P": dP}

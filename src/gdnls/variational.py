@@ -5,8 +5,10 @@ the H^1 (Sobolev) gradient of the modulation-removed action, that is the L^2
 gradient smoothed by (1 - d_x^2)^(-1), and then rescales back onto the
 constraint set, which is possible in closed form because the constraint
 splits into quadratic and superquadratic parts under psi -> lambda * psi.
-The smoothing removes the stiffness of the Laplacian part, so unit steps are
-stable on any grid and the iteration count does not grow with max(k^2).
+The smoothing removes the stiffness of the Laplacian part, so the step length
+is of order 1 on any grid and the iteration count does not grow with max(k^2).
+The step length is the Barzilai-Borwein quotient of the last move and the
+change of gradient, measured in the H^1 metric, with a monotone line search.
 The target level, the action of the solitary wave, is a closed form at
 sigma = 1 and two 1-D integrals J_nu of the profile otherwise (one Beta
 function at the endpoint); that gives the reference the estimate is tested
@@ -24,8 +26,8 @@ from scipy.special import beta
 
 from .core import Field, Grid, Params, require_admissible, spectral_derivative, validate_params
 from .errors import NotProjectable, ZeroField
-# action_S is unused here; bench/tracer.py patches it by name
-from .functionals import action_S, moments, tilde_functionals  # noqa: F401
+# action_S and tilde_functionals are unused here; bench/tracer.py patches them by name
+from .functionals import action_S, moments, sample_moments, tilde_functionals  # noqa: F401
 from .waves import J_nu, SolitonSpec, closed_form_invariants, profile_phi
 
 __all__ = [
@@ -42,11 +44,13 @@ __all__ = [
 class MinimizeConfig:
     """Stopping rule, starting field and grid for the projected descent.
 
-    The step is not a setting: it starts at 1, the natural scale of the H^1
+    The step is not a setting.  The first is 1, the natural scale of the H^1
     gradient step (the preconditioned Laplacian part has symbol
-    k^2 / (1 + k^2) < 1 on every grid).  Backtracking halves it whenever a
-    move fails to decrease the action, and the halved step carries over to
-    later iterations.
+    k^2 / (1 + k^2) < 1 on every grid).  Each later one is the preconditioned
+    Barzilai-Borwein step <s, (1 + k^2) s> / <s, y> of the last move s and
+    gradient change y, or 1 when <s, y> <= 0, clipped to [1e-3, 1e3] and to
+    twice the last accepted step.  Backtracking halves it until a move
+    decreases the action.
     """
 
     max_iters: int = 60_000
@@ -71,6 +75,7 @@ class MuEstimate:
     converged: bool
     constraint_residual: float
     history: list[float] = dc_field(repr=False, default_factory=list)
+    grad_norms: list[float] = dc_field(repr=False, default_factory=list)  # one per iteration
 
 
 def homogeneity_split(psi: Field, p: Params) -> tuple[float, float]:
@@ -101,7 +106,14 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
     steps along its H^1 Sobolev form ifft(fft(grad) / (1 + k^2)), reprojects
     after every step, and stops once the L^2 norm of the unpreconditioned
     gradient falls below grad_tol * max(1, |action|).  The action values
-    recorded in history are post-projection and non-increasing up to roundoff.
+    recorded in history are post-projection and non-increasing up to roundoff;
+    grad_norms holds the norm tested at each iteration.
+
+    The iterate is carried as samples, spectrum and derivative together.  All
+    three move linearly along the step and scale with the projection, so a
+    trial costs no transform, and an iteration costs three: the forward FFT
+    of the nonlinear part of the gradient and the two inverse FFTs that bring
+    the preconditioned gradient and its derivative back to x.
     """
     validate_params(p)
     if cfg.initial is not None:
@@ -112,67 +124,76 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
     s = p.sigma
     b = p.omega - p.c**2 / 4
     k2 = g.k**2
+    h1 = 1.0 + k2  # the H^1 symbol: preconditioner and step metric
     dx = g.dx
 
-    def project(v: np.ndarray) -> tuple[np.ndarray, float]:
-        """The rescaled field and its action, both from one moment evaluation of v."""
-        mom = moments(Field(g, v), s)
+    def project(v, vh, vx):
+        """The iterate (v, its spectrum, its derivative) rescaled onto the constraint
+        set, and the tilde functionals of the rescaled field, from one pass over v and vx."""
+        mom = sample_moments(v, vx, dx, s)
         A, B = mom.split(p)
         if not (A > 0 and B < 0):
             raise NotProjectable(
                 f"descent left the projectable region: A={A:.3e}, B={B:.3e}"
             )
         lam = (A / -B) ** (1 / (2 * s))
-        return lam * v, mom.scaled(lam).tilde(p).action
+        return (lam * v, lam * vh, lam * vx), mom.scaled(lam).tilde(p)
 
-    v, s_now = project(psi.values)
-    eta = 1.0
-    history = [s_now]
+    vh = np.fft.fft(psi.values)
+    (v, vh, vx), vals = project(psi.values, vh, spectral_derivative(g, vh))
+    history, grad_norms = [vals.action], []
     converged = False
-    it = 0
-    trials = 0
+    it = trials = 0
+    eta_last = 1.0
+    prev = None  # (vh, grad_h) of the previous iterate
     for it in range(1, cfg.max_iters + 1):
-        # The gradient is assembled and normed in Fourier space (Parseval),
-        # so only the nonlinear term makes a round trip through x.
-        vh = np.fft.fft(v)
-        dv = spectral_derivative(g, vh)
         w = np.abs(v) ** (2 * s)
-        grad_h = (k2 + b) * vh + np.fft.fft(w * (0.5 * p.c * v - 1j * dv))
+        grad_h = (k2 + b) * vh + np.fft.fft(w * (0.5 * p.c * v - 1j * vx))
         gnorm = math.sqrt(dx / g.N * float(np.sum(np.abs(grad_h) ** 2)))
-        if gnorm < cfg.grad_tol * max(1.0, abs(s_now)):
+        grad_norms.append(gnorm)
+        if gnorm < cfg.grad_tol * max(1.0, abs(vals.action)):
             converged = True
             break
-        d = np.fft.ifft(grad_h / (1.0 + k2))
+        dh = grad_h / h1
+        # Barzilai-Borwein step in the H^1 metric; see MinimizeConfig for the guards
+        eta = 1.0
+        if prev is not None:
+            sh, yh = vh - prev[0], grad_h - prev[1]
+            sy = float(np.vdot(sh, yh).real)
+            if sy > 0:
+                eta = float(np.vdot(sh, h1 * sh).real) / sy
+            eta = min(max(eta, 1e-3), 1e3, 2 * eta_last)
+        prev = (vh, grad_h)
+        d, d_x = np.fft.ifft(dh), spectral_derivative(g, dh)
         # Backtracking: halve until the projected step decreases the action.
         # A step large enough to leave the projectable region counts as failed.
         accepted = False
         while eta > 1e-12:
             trials += 1
             try:
-                trial, s_trial = project(v - eta * d)
+                trial, trial_vals = project(v - eta * d, vh - eta * dh, vx - eta * d_x)
             except NotProjectable:
                 eta *= 0.5
                 continue
-            if s_trial <= s_now + 1e-12 * abs(s_now):
-                v, s_now = trial, s_trial
-                history.append(s_now)
+            if trial_vals.action <= vals.action + 1e-12 * abs(vals.action):
+                (v, vh, vx), vals, eta_last = trial, trial_vals, eta
+                history.append(vals.action)
                 accepted = True
                 break
             eta *= 0.5
         if not accepted:
             break
 
-    minimizer = Field(g, v)
-    vals = tilde_functionals(minimizer, p)
     return MuEstimate(
         mu=vals.action,
         mu_from_residue=vals.residue / (p.alpha * (2 * s + 2)),
-        minimizer=minimizer,
+        minimizer=Field(g, v),
         iterations=it,
         trials=trials,
         converged=converged,
         constraint_residual=abs(vals.virial),
         history=history,
+        grad_norms=grad_norms,
     )
 
 

@@ -209,6 +209,10 @@ def test_minimize_mu_default_grid_converges(tmp_path, monkeypatch):
     metrics = man["metrics"]
     assert metrics["iterations"] > 1
     assert metrics["trials"] >= metrics["iterations"] - 1
+    # the descent trace: the last gradient norm passed the stopping test, and
+    # backtracks are the trials that were not accepted moves
+    assert metrics["grad_norm"] < man["config"]["minimize"]["grad_tol"] * max(1.0, abs(metrics["mu"]))
+    assert 0 <= metrics["backtracks"] <= metrics["trials"] - (metrics["iterations"] - 1)
 
 
 def test_simulate_soliton_checks_error_and_drift(outdir):
@@ -238,6 +242,18 @@ def test_simulate_blowup_exits_1(outdir):
                  "--scheme.dt", "0.05", "--scheme.T", "1"])
     assert code == 1
     assert _manifest(outdir)["metrics"]["blowup"] == 1
+    assert "no_blowup" in _failed_checks(outdir)
+
+
+def test_simulate_blowup_reports_nan_drift(outdir):
+    # sigma = 3 data that blows up at t = 0.009; the energy turns NaN before
+    # the mass overflows, and a drift that skipped NaN would read 0
+    code = main(["simulate", "--grid.N", "4096", "--params.sigma", "3", "--data.amplitude", "2",
+                 "--scheme.T", "0.2"])
+    assert code == 1
+    metrics = _manifest(outdir)["metrics"]
+    assert metrics["blowup"] == 1
+    assert math.isnan(metrics["drift_E"])
     assert "no_blowup" in _failed_checks(outdir)
 
 

@@ -76,12 +76,21 @@ def test_minimize_config_validation():
 
 
 def test_estimate_mu_ground_state():
-    est = estimate_mu(Params(1.0, 1.0, 0.0))
+    p = Params(1.0, 1.0, 0.0)
+    est = estimate_mu(p)
     assert est.converged
-    # the H^1 gradient step needs a few dozen iterations here; an explicit
-    # L^2 step, stable only below 1/max(k^2), needs thousands
-    assert est.iterations < 100
+    # the H^1 gradient step with Barzilai-Borwein lengths needs about 15
+    # iterations here; an explicit L^2 step, stable only below 1/max(k^2),
+    # needs thousands
+    assert est.iterations < 25
     assert est.trials >= len(est.history) - 1  # every accepted move was a trial
+    # one gradient norm per iteration; only the last is below the tolerance
+    assert len(est.grad_norms) == est.iterations
+    tol = MinimizeConfig().grad_tol * max(1.0, abs(est.mu))
+    assert est.grad_norms[-1] < tol <= min(est.grad_norms[:-1])
+    # the carried samples, spectrum and derivative describe the returned field:
+    # its moments from scratch give the same level
+    assert tilde_functionals(est.minimizer, p).action == pytest.approx(est.mu, rel=1e-12)
     assert est.mu == pytest.approx(math.pi, rel=1e-3)
     # the two level readings (direct action, remainder functional) must agree
     assert est.mu_from_residue == pytest.approx(est.mu, rel=1e-6)
@@ -95,11 +104,43 @@ def test_estimate_mu_ground_state():
 
 
 def test_estimate_mu_sigma2_negative_beta_converges():
-    # a point where the (omega - c^2/4 + k^2)^(-1) preconditioner stalls
+    # a point where an (omega - c^2/4 + k^2)^(-1) preconditioner stalls; with
+    # (1 + k^2)^(-1) a step that only ever halves takes 579 trials, and an
+    # uncapped Barzilai-Borwein step 1,102
     p = Params(2.0, 1.0563, 0.5897, 1.0, -0.4776)
     est = estimate_mu(p, MinimizeConfig(max_iters=2000))
     assert est.converged
+    assert est.trials <= 200
     assert est.mu == pytest.approx(mu_reference(p), rel=1e-3)
+
+
+def test_estimate_mu_zigzag_input_converges_quickly():
+    # the slowest level-descent input of seeds 1-40 under a fixed unit step
+    # (513 iterations): the unit step zigzags there without backtracking
+    p = Params(1.0, 0.97557, 0.37795, 1.0, -0.40731)
+    est = estimate_mu(p, MinimizeConfig(grid=Grid(20 * math.pi, 512)))
+    assert est.converged
+    assert est.iterations <= 40
+    assert est.mu == pytest.approx(mu_reference(p), rel=1e-3)
+
+
+def test_estimate_mu_transform_count(monkeypatch):
+    """Transforms are counted the way the benchmark tracer counts them, by
+    wrapping numpy.fft.fft and ifft; the descent must look both up at call
+    time, and a trial must not need a transform of its own."""
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    est = estimate_mu(Params(1.0, 1.0, 0.0), MinimizeConfig(grid=Grid(20 * math.pi, 512)))
+    assert est.converged
+    assert calls["fft"] > 0 and calls["ifft"] > 0
+    assert sum(calls.values()) <= 2 + 2 * est.iterations + est.trials
 
 
 def test_mu_reference_closed_forms():
