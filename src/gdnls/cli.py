@@ -379,17 +379,19 @@ def cmd_simulate(cfg: dict) -> int:
     summary = {"final_t": traj.times[-1], "blowup": int(traj.blowup),
                "drift_M": dM, "drift_E": dE, "drift_P": dP}
     run.metrics.update(summary)
-    # every family: the run neither blew up nor stopped short of T
+    # every family: the run neither blew up nor stopped short of T, and kept
+    # the mass, which the equation conserves for any data
     run.check("no_blowup", int(traj.blowup), 0, not traj.blowup)
     gap = abs(traj.times[-1] - scheme.T)
     run.check("reached_T", gap, 1e-12 * scheme.T, gap <= 1e-12 * scheme.T)
+    run.check("drift_M", dM, 1e-8, dM < 1e-8)
     if cfg["data"]["family"] == "soliton" and not traj.blowup:
         exact = traveling_wave(_soliton_spec(cfg), grid, traj.times[-1])
         linf = float(np.max(np.abs(traj.final.values - exact.values)))
         summary["final_linf_error"] = linf
         run.metrics["final_linf_error"] = linf
         run.check("soliton_linf_error", linf, 1e-4, linf < 1e-4)
-        for name, val in (("M", dM), ("E", dE), ("P", dP)):
+        for name, val in (("E", dE), ("P", dP)):
             run.check(f"drift_{name}", val, 1e-8, val < 1e-8)
     _write_csv(run.path("summary.csv"), ",".join(summary),
                [tuple(repr(v) for v in summary.values())])

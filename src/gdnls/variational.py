@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import beta
 
 from .core import Field, Grid, Params, require_admissible, spectral_derivative, validate_params
 from .errors import NotProjectable, ZeroField
@@ -36,7 +34,6 @@ __all__ = [
     "homogeneity_split",
     "estimate_mu",
     "mu_reference",
-    "modulus_alignment_error",
 ]
 
 
@@ -213,35 +210,12 @@ def mu_reference(p: Params) -> float:
     if s == 1.0:
         return closed_form_invariants(w, c).action
     if require_admissible(s, w, c):
-        return (2 * s + 2) ** (1 / s - 1) * c ** (1 + 1 / s) * float(beta(0.5, 0.5 + 1 / s))
+        # B(1/2, 1/2 + 1/s) from math.gamma: for s >= 1 every argument lies in [1/2, 2]
+        beta = math.gamma(0.5) * math.gamma(0.5 + 1 / s) / math.gamma(1 + 1 / s)
+        return (2 * s + 2) ** (1 / s - 1) * c ** (1 + 1 / s) * beta
     r2, q = 4 * w - c * c, 2 * math.sqrt(w)
     a, h = (s + 1) * r2 / q, 2 / (s * math.sqrt(r2))
     mass = a ** (1 / s) * h * J_nu(1 / s, c / q)
     pot = a ** (1 + 1 / s) * h * J_nu(1 + 1 / s, c / q)
     return s / (s + 1) * (r2 / 4 * mass + c * pot / (4 * s + 4))
 
-
-def modulus_alignment_error(psi: Field, reference: Field) -> float:
-    """Sup-norm distance of |psi| to the reference after the best translation.
-
-    Coarse alignment by circular cross-correlation, then a bounded 1-D search
-    over sub-grid shifts applied spectrally to |psi|.
-    """
-    a = np.abs(psi.values)
-    ref = reference.values.real
-    g = psi.grid
-    corr = np.fft.ifft(np.fft.fft(a) * np.conj(np.fft.fft(ref))).real
-    m0 = int(np.argmax(corr))
-    if m0 > g.N // 2:
-        m0 -= g.N
-    ah = np.fft.fft(a)
-
-    def err(shift: float) -> float:
-        moved = np.fft.ifft(ah * np.exp(-1j * g.k * shift)).real
-        return float(np.max(np.abs(moved - ref)))
-
-    res = minimize_scalar(
-        err, bounds=(-m0 * g.dx - g.dx, -m0 * g.dx + g.dx), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(res.fun)

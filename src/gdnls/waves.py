@@ -8,6 +8,12 @@ The amplitude solves the profile equation
 algebraically decaying one at the endpoint omega = c^2/4, c > 0.  The full
 complex wave attaches the phase c*x/2 - (2s+2)^{-1} * int_0^x Phi^(2s), which
 has a closed form on both branches.
+
+scipy is imported on first use, by J_nu (behind the sigma != 1 interior level
+and F_sigma) and z0_root alone, so sigma = 1 levels, certificates and flows
+never load it.  `quad` stays a module-level function that forwards to
+scipy.integrate.quad: the benchmark tracer patches it by name, and J_nu looks
+it up as a global, which a module __getattr__ would not serve.
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .core import Field, Grid, Params, require_admissible, spectral_derivative
 from .errors import BoundaryProximity, NoBracket, QuadratureFailure, SigmaUnsupported
@@ -41,6 +45,13 @@ __all__ = [
 # decays like |x|^(-1/sigma), so it gets a much looser warning level.
 _EDGE_TOL = 1e-10
 _EDGE_TOL_SLOW = 1e-6
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -226,5 +237,7 @@ def z0_root(sigma: float, z_tol: float = 1e-8, quad_tol: float = 1e-12) -> float
     fs = [F_sigma(float(z), sigma, quad_tol) for z in zs]
     for i in range(len(zs) - 1):
         if fs[i] * fs[i + 1] <= 0:
+            from scipy.optimize import brentq
+
             return brentq(F_sigma, zs[i], zs[i + 1], args=(sigma, quad_tol), xtol=z_tol / 2)
     raise NoBracket(f"no sign change of F_sigma on [{zs[0]:.3f}, {zs[-1]:.3f}]")

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from gdnls import Field, Params, membership
 
@@ -67,3 +68,29 @@ def best_endpoint_margin(u):
         m = membership(u, Params(1.0, c * c / 4, c, 1.0, -0.5))
         best = min(best, max(m.action - m.level, -m.virial))
     return best
+
+
+def modulus_alignment_error(psi, reference):
+    """Sup-norm distance of |psi| to the reference after the best translation.
+
+    Coarse alignment by circular cross-correlation, then a bounded 1-D search
+    over sub-grid shifts applied spectrally to |psi|.
+    """
+    a = np.abs(psi.values)
+    ref = reference.values.real
+    g = psi.grid
+    corr = np.fft.ifft(np.fft.fft(a) * np.conj(np.fft.fft(ref))).real
+    m0 = int(np.argmax(corr))
+    if m0 > g.N // 2:
+        m0 -= g.N
+    ah = np.fft.fft(a)
+
+    def err(shift):
+        moved = np.fft.ifft(ah * np.exp(-1j * g.k * shift)).real
+        return float(np.max(np.abs(moved - ref)))
+
+    res = minimize_scalar(
+        err, bounds=(-m0 * g.dx - g.dx, -m0 * g.dx + g.dx), method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return float(res.fun)

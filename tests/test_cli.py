@@ -223,7 +223,7 @@ def test_simulate_soliton_checks_error_and_drift(outdir):
     assert man["metrics"]["final_linf_error"] < 1e-4
     assert man["metrics"]["drift_M"] < 1e-8
     names = [c["name"] for c in man["checks"]]
-    assert names == ["no_blowup", "reached_T", "soliton_linf_error", "drift_M", "drift_E", "drift_P"]
+    assert names == ["no_blowup", "reached_T", "drift_M", "soliton_linf_error", "drift_E", "drift_P"]
     assert all(c["passed"] for c in man["checks"])
     traj = (outdir / "trajectory.csv").read_text().splitlines()
     assert traj[0] == "t,M,E,P,H1seminorm,shiftedH1,K,blowup"
@@ -265,7 +265,20 @@ def test_simulate_truncated_adaptive_run_exits_1(outdir):
     man = _manifest(outdir)
     assert man["metrics"]["blowup"] == 0
     assert man["metrics"]["final_t"] < 0.2
-    assert _failed_checks(outdir) == ["reached_T"]
+    assert _failed_checks(outdir) == ["drift_M", "reached_T"]
+
+
+def test_simulate_mass_drift_fails_every_family(outdir):
+    # sigma = 3 data the N = 512 grid cannot resolve: the adaptive run reaches T
+    # without blowing up, yet loses half its mass, which the equation conserves
+    code = main(["simulate", "--grid.N", "512", "--params.sigma", "3", "--data.amplitude", "2",
+                 "--scheme.adaptive", "true", "--scheme.T", "0.2"])
+    assert code == 1
+    man = _manifest(outdir)
+    assert man["metrics"]["blowup"] == 0
+    assert man["metrics"]["final_t"] == pytest.approx(0.2, rel=1e-12)
+    assert man["metrics"]["drift_M"] > 0.1
+    assert _failed_checks(outdir) == ["drift_M"]
 
 
 def test_simulate_from_field_file(outdir, tmp_path):
@@ -279,7 +292,7 @@ def test_simulate_from_field_file(outdir, tmp_path):
     man = _manifest(outdir)
     assert man["metrics"]["blowup"] == 0
     assert "final_linf_error" not in man["metrics"]
-    assert [c["name"] for c in man["checks"]] == ["no_blowup", "reached_T"]
+    assert [c["name"] for c in man["checks"]] == ["no_blowup", "reached_T", "drift_M"]
 
 
 def test_simulate_rejects_non_finite_field_file(outdir, tmp_path, capsys):

@@ -19,7 +19,7 @@ EXPORTED_BEFORE = {
     "estimate_mu", "evolve", "functionals", "gn1_ratio", "gn2_ratio", "gn_checks",
     "guo_wu_bound", "guo_wu_bound_values", "homogeneity_split", "identity_suite",
     "integrate", "invariance_check", "is_grid_compatible", "load_field", "mass",
-    "membership", "modulate", "modulus_alignment_error", "moments", "momentum",
+    "membership", "modulate", "moments", "momentum",
     "mu_reference", "nonlinear_N", "profile_Phi", "profile_phi", "require_admissible",
     "save_field", "spectral_derivative", "tilde_functionals", "traveling_wave",
     "validate_params", "variational", "virial_K", "waves", "write_trajectory_csv", "z0_root",
@@ -27,10 +27,11 @@ EXPORTED_BEFORE = {
 
 # names deleted on purpose because nothing outside their own tests called them:
 # the sigma = 1 gauge frame, the companion virial form, the antiderivative behind
-# the gauge phase, and the pointwise first integral of the profile equation
+# the gauge phase, the pointwise first integral of the profile equation, and the
+# translation-aligned modulus error (now a test helper)
 RETIRED = {
     "I_functional", "gauge_to_w", "gauge_from_w", "calE", "calP", "gw_momentum_floor",
-    "cumulative_integral", "first_integral_residual",
+    "cumulative_integral", "first_integral_residual", "modulus_alignment_error",
 }
 
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import beta
 
 from gdnls import (
     Field,
@@ -22,13 +23,12 @@ from gdnls import (
     estimate_mu,
     homogeneity_split,
     modulate,
-    modulus_alignment_error,
     mu_reference,
     profile_Phi,
     profile_phi,
     tilde_functionals,
 )
-from helpers import band_limited
+from helpers import band_limited, modulus_alignment_error
 
 
 def test_homogeneity_split_reproduces_constraint(grid):
@@ -165,6 +165,16 @@ def test_mu_reference_endpoint_scaling():
     mid = mu_reference(Params(1.5, 0.25, 1.0, 1.0, -0.5))
     assert mid == pytest.approx(1.0652126361518186, rel=1e-9)
     assert mu_reference(Params(1.0, 0.25, 1.0, 1.0, -0.5)) == math.pi / 2
+
+
+@pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0, 5.0])
+def test_endpoint_level_beta_from_gamma(sigma):
+    """The endpoint level takes B(1/2, 1/2 + 1/s) as a ratio of math.gamma values;
+    it meets scipy's Beta function to roundoff."""
+    s = sigma
+    for c in (0.5, 1.0, 3.0):
+        ref = (2 * s + 2) ** (1 / s - 1) * c ** (1 + 1 / s) * beta(0.5, 0.5 + 1 / s)
+        assert mu_reference(Params(s, c * c / 4, c, 1.0, -0.5)) == pytest.approx(ref, rel=2e-15)
 
 
 @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
