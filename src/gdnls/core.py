@@ -123,7 +123,9 @@ class Params:
 
 
 def require_admissible(sigma: float, omega: float, c: float) -> bool:
-    """Check sigma >= 1 and omega > c^2/4, or the endpoint omega = c^2/4 with c > 0; True there."""
+    """Check finite sigma >= 1, omega > c^2/4 or the endpoint omega = c^2/4, c > 0; True there."""
+    if not all(map(math.isfinite, (sigma, omega, c))):
+        raise ValueError(f"sigma, omega and c must be finite, got {sigma}, {omega}, {c}")
     if not sigma >= 1:
         raise ValueError(f"sigma must be >= 1, got {sigma}")
     quarter = c * c / 4

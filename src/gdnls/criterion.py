@@ -107,8 +107,8 @@ class SearchConfig:
     strategy_hint: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.sigma >= 1:
-            raise ValueError(f"sigma must be >= 1, got {self.sigma}")
+        if not (self.sigma >= 1 and math.isfinite(self.sigma)):
+            raise ValueError(f"sigma must be finite and >= 1, got {self.sigma}")
         # a float: the route tables are cached on sigma, where 1 and 1.0 are one key
         object.__setattr__(self, "sigma", float(self.sigma))
         if self.strategy_hint is not None and self.strategy_hint not in STRATEGY_TAGS:

@@ -17,10 +17,6 @@ class SigmaUnsupported(GdnlsError, ValueError):
     """Operation only available for specific nonlinearity powers."""
 
 
-class QuadratureFailure(GdnlsError):
-    """Adaptive quadrature could not meet the requested tolerance."""
-
-
 class NoBracket(GdnlsError):
     """Root scan found no sign change on the search interval."""
 

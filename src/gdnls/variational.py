@@ -10,9 +10,10 @@ is of order 1 on any grid and the iteration count does not grow with max(k^2).
 The step length is the Barzilai-Borwein quotient of the last move and the
 change of gradient, measured in the H^1 metric, with a monotone line search.
 The target level, the action of the solitary wave, is a closed form at
-sigma = 1 and two 1-D integrals J_nu of the profile otherwise (one Beta
-function at the endpoint); that gives the reference the estimate is tested
-against without sampling the wave on a grid.
+sigma = 1 and two profile integrals J_nu otherwise, each one Gauss
+hypergeometric function (one Beta function at the endpoint); that gives the
+reference the estimate is tested against without sampling the wave on a grid
+or running a quadrature.
 """
 
 from __future__ import annotations
@@ -201,7 +202,8 @@ def mu_reference(p: Params) -> float:
     mu = s/(s+1) [(omega - c^2/4) M + c Pot/(4s+4)] with s = sigma, M = ||Phi||^2
     and Pot = ||Phi||_{2s+2}^{2s+2}.  Inside the region Phi^(2s) = a/(cosh(s r y) - z)
     with r = sqrt(4 omega - c^2), z = c/(2 sqrt(omega)), a = (s+1) r^2/(2 sqrt(omega)),
-    so M = a^(1/s) h J_{1/s}(z) and Pot = a^(1+1/s) h J_{1+1/s}(z) with h = 2/(s r).
+    so M = a^(1/s) h J_{1/s}(z) and Pot = a^(1+1/s) h J_{1+1/s}(z) with h = 2/(s r),
+    where J_nu is in closed form (waves.J_nu).
     At the endpoint the first term is 0 and Pot is one Beta function, giving
     mu = (2s+2)^(1/s-1) c^(1+1/s) B(1/2, 1/2+1/s), which is also ||Phi'||^2.
     sigma = 1 keeps the closed forms.

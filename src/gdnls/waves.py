@@ -9,11 +9,10 @@ algebraically decaying one at the endpoint omega = c^2/4, c > 0.  The full
 complex wave attaches the phase c*x/2 - (2s+2)^{-1} * int_0^x Phi^(2s), which
 has a closed form on both branches.
 
-scipy is imported on first use, by J_nu (behind the sigma != 1 interior level
-and F_sigma) and z0_root alone, so sigma = 1 levels, certificates and flows
-never load it.  `quad` stays a module-level function that forwards to
-scipy.integrate.quad: the benchmark tracer patches it by name, and J_nu looks
-it up as a global, which a module __getattr__ would not serve.
+The profile integrals J_nu behind the sigma != 1 level and F_sigma are one
+Gauss hypergeometric function each.  scipy is imported on first use, by J_nu
+(scipy.special.hyp2f1) and z0_root (brentq) alone, so sigma = 1 levels,
+certificates and flows never load it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Field, Grid, Params, require_admissible, spectral_derivative
-from .errors import BoundaryProximity, NoBracket, QuadratureFailure, SigmaUnsupported
+from .errors import BoundaryProximity, NoBracket, SigmaUnsupported
 
 __all__ = [
     "SolitonSpec",
@@ -48,7 +47,8 @@ _EDGE_TOL_SLOW = 1e-6
 
 
 def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call."""
+    """scipy.integrate.quad, imported on the first call.  Nothing here calls it: it is
+    kept only because the benchmark tracer patches it by name, until that patch goes."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
@@ -179,35 +179,30 @@ def closed_form_invariants(omega: float, c: float) -> ClosedFormInvariants:
     return ClosedFormInvariants(mass, momentum, energy, action)
 
 
-def J_nu(nu: float, z: float, tol: float = 1e-12) -> float:
-    """J_nu(z) = int_0^inf (cosh y - z)^(-nu) dy for nu > 0 and -1 < z < 1.
+def J_nu(nu: float, z: float) -> float:
+    """J_nu(z) = int_0^inf (cosh y - z)^(-nu) dy for nu > 0 and -1 < z < 1, in closed form.
 
-    The integrand is evaluated as (2 e^-y / ((1 - e^-y)^2 + 2 (1 - z) e^-y))^nu,
-    which neither cancels near y = 0 as z -> 1 nor overflows at large y.  For
-    large y it approaches 2^nu e^(-nu y), so the quadrature stops at the Y where
-    that tail's integral 2^nu e^(-nu Y) / nu is a thousandth of tol.
+    Euler's integral and Pfaff's transformation (DLMF 15.6.1, 15.8.1) give
+
+        J_nu(z) = (1 - z)^(1/2 - nu) B(1/2, nu) / sqrt(2) 2F1(1/2, 1/2; nu + 1/2; (1 + z)/2),
+
+    which needs no tolerance.  The relative error stays near roundoff except
+    as z -> 1, where the rounding of x = (1 + z)/2 carries into the
+    (1 - x)^(nu - 1/2) part of 2F1: about 2e-11 at z = 1 - 1e-6 and nu = 1/3,
+    less for larger nu.
     """
     if not -1 < z < 1:
         raise ValueError(f"z must lie in (-1, 1), got {z}")
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
-    Y = math.log(1000 * 2**nu / (nu * tol)) / nu
-    gap = 1.0 - z
+    from scipy.special import hyp2f1
 
-    def f(y: float) -> float:
-        e = math.exp(-y)
-        u = -math.expm1(-y)
-        return (2 * e / (u * u + 2 * gap * e)) ** nu
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        v, _ = quad(f, 0.0, Y, epsabs=tol, epsrel=100 * tol, limit=500)
-    if not math.isfinite(v):
-        raise QuadratureFailure(f"J_nu({nu}, {z}) did not evaluate to a finite value")
-    return v
+    beta = math.gamma(0.5) * math.gamma(nu) / math.gamma(nu + 0.5)
+    f = float(hyp2f1(0.5, 0.5, nu + 0.5, (1 + z) / 2))
+    return (1 - z) ** (0.5 - nu) * beta / math.sqrt(2) * f
 
 
-def F_sigma(z: float, sigma: float, tol: float = 1e-12) -> float:
+def F_sigma(z: float, sigma: float) -> float:
     """Sign detector for the stability character of the endpoint wave family.
 
     F(z) = (sigma-1)^2 * I1(z)^2 - I2(z)^2 with
@@ -217,27 +212,27 @@ def F_sigma(z: float, sigma: float, tol: float = 1e-12) -> float:
 
     and z cosh y - 1 = z (cosh y - z) + z^2 - 1 gives
     I2 = z J_{1/sigma}(z) + (z^2 - 1) J_{1+1/sigma}(z), so both come from the
-    integrals behind mu_reference.  For sigma = 1 the first term vanishes and
+    closed forms behind mu_reference.  For sigma = 1 the first term vanishes and
     I2 = -1 exactly (the integrand is the derivative of -sinh y / (cosh y - z)).
     """
     if not 1 <= sigma <= 2:
         raise SigmaUnsupported(f"sigma must lie in [1, 2], got {sigma}")
     inv = 1.0 / sigma
-    i1 = J_nu(inv, z, tol)
-    i2 = z * i1 + (z * z - 1) * J_nu(inv + 1, z, tol)
+    i1 = J_nu(inv, z)
+    i2 = z * i1 + (z * z - 1) * J_nu(inv + 1, z)
     return (sigma - 1) ** 2 * i1 * i1 - i2 * i2
 
 
-def z0_root(sigma: float, z_tol: float = 1e-8, quad_tol: float = 1e-12) -> float:
-    """Unique zero of F_sigma on (-1, 1): a 41-point bracket scan, then brentq to z_tol."""
+def z0_root(sigma: float) -> float:
+    """Unique zero of F_sigma on (-1, 1): a 41-point bracket scan, then brentq to xtol 5e-9."""
     if not 1 < sigma < 2:
         raise SigmaUnsupported(f"z0_root requires 1 < sigma < 2, got {sigma}")
     eps = 1e-3
     zs = np.linspace(-1 + eps, 1 - eps, 41)
-    fs = [F_sigma(float(z), sigma, quad_tol) for z in zs]
+    fs = [F_sigma(float(z), sigma) for z in zs]
     for i in range(len(zs) - 1):
         if fs[i] * fs[i + 1] <= 0:
             from scipy.optimize import brentq
 
-            return brentq(F_sigma, zs[i], zs[i + 1], args=(sigma, quad_tol), xtol=z_tol / 2)
+            return brentq(F_sigma, zs[i], zs[i + 1], args=(sigma,), xtol=5e-9)
     raise NoBracket(f"no sign change of F_sigma on [{zs[0]:.3f}, {zs[-1]:.3f}]")

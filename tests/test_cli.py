@@ -100,6 +100,11 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
         ["minimize-mu", "--minimize.grad_tol", "0"],
         ["verify", "--verify.fields", "many"],
         ["zroot", "--zroot.sigmas", "[2.5]"],
+        # non-finite parameters are rejected where they are read
+        ["simulate", "--params.omega", "NaN", "--grid.N", "256", "--scheme.T", "0.01"],
+        ["soliton", "--params.omega", "NaN"],
+        ["certify", "--params.sigma", "Infinity", "--grid.N", "256"],
+        ["minimize-mu", "--params.omega", "NaN"],
     )
     for argv in cases:
         assert main(argv) == 2, argv

@@ -1,5 +1,5 @@
 """scipy loads on first use: a sigma = 1 run never imports it, and the sigma != 1
-interior level still does."""
+interior level loads scipy.special alone."""
 
 import os
 import subprocess
@@ -30,7 +30,8 @@ mu_reference(Params(2.0, 0.25, 1.0))
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded[:5]
 print(repr(mu_reference({INTERIOR!r})))
-assert "scipy.integrate" in sys.modules
+assert "scipy.special" in sys.modules
+assert "scipy.integrate" not in sys.modules
 """
 
 

@@ -154,3 +154,8 @@ def test_require_admissible_branches():
     for c in (-1.0, 0.0):  # the endpoint needs c > 0
         with pytest.raises(NotAdmissible, match="endpoint"):
             require_admissible(1.0, c * c / 4, c)
+    # a NaN omega or c slips past every comparison, and sigma = inf passes sigma >= 1
+    for args in ((1.0, math.nan, 0.0), (1.0, 1.0, math.nan), (math.inf, 1.0, 0.0),
+                 (math.nan, 1.0, 0.0), (1.0, math.inf, 0.0), (1.0, math.inf, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            require_admissible(*args)

@@ -73,8 +73,9 @@ def test_membership_of_scaled_waves():
 
 
 def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(sigma=0.5)
+    for sigma in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SearchConfig(sigma=sigma)
     with pytest.raises(ValueError):
         SearchConfig(strategy_hint="whatever")
     # the speed grid and the route order are fixed; only these two are settings

@@ -194,6 +194,39 @@ def test_J_nu_at_one_is_the_arctan_form():
         J_nu(1.0, 1.0)
 
 
+def _J_nu_by_quadrature(nu, z):
+    """int_0^inf (cosh y - z)^(-nu) dy by adaptive quadrature, split at the width
+    sqrt(2 (1 - z)) of the peak at y = 0.  The integrand is written in e^-y, so it
+    neither cancels near y = 0 as z -> 1 nor overflows, and the tail beyond
+    Y = 40/nu, about 2^nu e^(-40) / nu, is below 1e-16."""
+    gap = 1.0 - z
+
+    def f(y):
+        e = math.exp(-y)
+        u = -math.expm1(-y)
+        return (2 * e / (u * u + 2 * gap * e)) ** nu
+
+    w = math.sqrt(2 * gap)
+    edges = sorted({0.0, min(w, 1.0), min(10 * w, 1.0), 1.0, 40 / nu})
+    return sum(quad(f, a, b, epsabs=0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(edges, edges[1:]))
+
+
+def test_J_nu_matches_an_independent_quadrature():
+    # worst is about 2e-11, at z = 1 - 1e-6 and nu = 1/3 (see the J_nu docstring)
+    for nu in (1 / 3, 1 / 2, 2 / 3, 1.0, 4 / 3, 3 / 2, 2.0):
+        for z in (-0.99, -0.5, 0.0, 0.5, 0.9, 0.999, 1 - 1e-6):
+            assert J_nu(nu, z) == pytest.approx(_J_nu_by_quadrature(nu, z), rel=1e-10), (nu, z)
+
+
+def test_J_nu_domain_checks():
+    for nu in (0.0, -0.5):
+        with pytest.raises(ValueError, match="nu"):
+            J_nu(nu, 0.0)
+    with pytest.raises(ValueError, match="z"):
+        J_nu(1.0, math.nan)
+
+
 def test_F_sigma_domain_checks():
     with pytest.raises(ValueError):
         F_sigma(1.0, 1.5)
@@ -221,7 +254,7 @@ def test_z0_root_domain():
         z0_root(2.0)
 
 
-def test_quadrature_failure_types_exist():
+def test_z0_root_near_one_raises_no_bracket():
     # smoke check that the bracket scan raises the dedicated error when the
     # function cannot bracket; sigma extremely close to 1 keeps F < 0 everywhere
     with pytest.raises((NoBracket, ValueError)):
