@@ -140,10 +140,12 @@ def require_admissible(sigma: float, omega: float, c: float) -> bool:
 def validate_params(p: Params) -> Params:
     """Check the existence region for (omega, c) and the sign conditions on (alpha, beta).
 
-    The virial pair must satisfy 2*alpha - beta > 0 and 2*alpha + beta > 0,
+    The virial pair must be finite and satisfy 2*alpha - beta > 0 and 2*alpha + beta > 0,
     together with beta*c <= 0 (interior case) or beta < 0 (endpoint case).
     """
     endpoint = require_admissible(p.sigma, p.omega, p.c)
+    if not (math.isfinite(p.alpha) and math.isfinite(p.beta)):
+        raise BadExponents(f"alpha and beta must be finite, got {p.alpha}, {p.beta}")
     if not 2 * p.alpha - p.beta > 0:
         raise BadExponents(f"need 2*alpha - beta > 0: alpha={p.alpha}, beta={p.beta}")
     if not 2 * p.alpha + p.beta > 0:

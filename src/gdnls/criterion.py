@@ -124,17 +124,6 @@ def membership(u0: Field, p: Params) -> Membership:
     return Membership(kind, s, level, k)
 
 
-@lru_cache(maxsize=32)
-def _speed_grid(L: float) -> tuple[float, ...]:
-    unit = 4 * math.pi / L
-    out: list[float] = []
-    for c in np.geomspace(1.0, 1024.0, 40):
-        snapped = unit * max(1, round(c / unit))
-        if not out or snapped != out[-1]:
-            out.append(snapped)
-    return tuple(out)
-
-
 class _RouteTable(NamedTuple):
     """The admissible candidates of one route in scan order, their levels and columns."""
 
@@ -144,7 +133,10 @@ class _RouteTable(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _route_table(sigma: float, route: str, speeds: tuple[float, ...]) -> _RouteTable:
+def _route_table(sigma: float, L: float, route: str) -> _RouteTable:
+    unit = 4 * math.pi / L
+    # 40 geometric speeds in [1, 1024] snapped to box-periodic values 4 pi m / L, repeats dropped
+    speeds = dict.fromkeys(unit * max(1, round(c / unit)) for c in np.geomspace(1.0, 1024.0, 40))
     if route == "massless-scan":
         raw = [Params(sigma, c * c / 4, c, 1.0, -0.5) for c in speeds]
     else:
@@ -157,7 +149,7 @@ def _route_table(sigma: float, route: str, speeds: tuple[float, ...]) -> _RouteT
         except (NotAdmissible, BadExponents):
             pass
     level = np.array([mu_reference(p) for p in kept], dtype=float)
-    cols = np.array([(p.omega, p.c, p.alpha, p.beta) for p in kept], dtype=float).reshape(-1, 4).T
+    cols = np.array([(p.omega, p.c, p.alpha, p.beta) for p in kept], dtype=float).T
     return _RouteTable(tuple(kept), level, Params(sigma, *cols))
 
 
@@ -178,14 +170,11 @@ def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
         raise ZeroField("cannot certify the zero field")
     require_finite(u0, "initial data")
 
-    speeds = _speed_grid(u0.grid.L)
     mom = moments(u0, search.sigma)
     tried = 0
     best = (math.inf, None, math.nan, math.nan, math.nan)  # margin, params, action, level, virial
     for route in _ROUTES:
-        table = _route_table(search.sigma, route, speeds)
-        if not table.params:
-            continue
+        table = _route_table(search.sigma, u0.grid.L, route)
         action, virial = mom.action(table.cols), mom.virial(table.cols)
         good = (action <= table.level) & (virial >= 0)
         i = int(np.argmax(good))

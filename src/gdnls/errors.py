@@ -37,9 +37,5 @@ class Inapplicable(GdnlsError):
     """Preconditions of a closed-form bound do not hold for this data."""
 
 
-class Overflow(GdnlsError):
-    """Field values left the finite range during time stepping."""
-
-
 class BoundaryProximity(UserWarning):
     """Field carries non-negligible mass at the box edge."""

@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import Field, Params, require_finite, spectral_derivative, validate_params
 from .criterion import Certificate
-from .errors import Overflow
 # action_S, energy, mass, momentum and virial_K are unused here; bench/tracer.py patches them by name
 from .functionals import action_S, energy, mass, momentum, sample_moments, virial_K  # noqa: F401
 
@@ -133,8 +132,8 @@ class _Stepper:
     def _nl_hat(self, vh: np.ndarray) -> np.ndarray:
         return self._nl(np.fft.ifft(vh), spectral_derivative(self.grid, vh))
 
-    def advance(self) -> None:
-        """One step from the held state; on Overflow the held state stays the last finite one."""
+    def advance(self) -> bool:
+        """One step from the held state; False, keeping that state, if the step left the finite range."""
         dt, E1, E2, uh = self.dt, self.E1, self.E2, self.uh
         with np.errstate(over="ignore", invalid="ignore"):
             n1 = self._nl(self.u, self.ux)
@@ -143,11 +142,10 @@ class _Stepper:
             n3 = self._nl_hat(E1 * uh + 0.5 * dt * n2)
             n4 = self._nl_hat(E2 * uh + dt * E1 * n3)
             out = E2 * uh + dt / 6 * (E2 * n1 + 2 * E1 * (n2 + n3) + n4)
-        if not np.all(np.isfinite(out.view(np.float64))):
-            self.load(uh)
-            raise Overflow(f"non-finite spectrum after step dt={dt:.3e}")
+        finite = bool(np.all(np.isfinite(out.view(np.float64))))
         del n1, n2, n3, n4, uh
-        self.load(out)
+        self.load(out if finite else self.uh)
+        return finite
 
 
 def _diagnostics(
@@ -186,9 +184,9 @@ def integrate(
     the time left; an adaptive run also caps it by the amplitude CFL rule.  A
     fixed-step run sits at min(n dt, T) after n steps and ends at T; an
     adaptive run stops short only at its budget of 20 round(T/dt) steps.
-    Blow-up (overflow, non-finite values, or sup-norm growth beyond 1e6 of the
-    initial) truncates the trajectory: the last good field is kept and the
-    final record carries the blowup flag.
+    Blow-up (a step that leaves the finite range, or sup-norm growth beyond
+    1e6 of the initial) truncates the trajectory: the last good field is kept
+    and the final record carries the blowup flag.
     """
     validate_params(p)
     if sample_every < 1:
@@ -222,9 +220,7 @@ def integrate(
             dt = min(dt, _CFL_SAFETY * grid.dx / max(1.0, amp ** (2 * p.sigma)))
         if dt != stepper.dt:
             stepper.set_dt(dt)
-        try:
-            stepper.advance()
-        except Overflow:
+        if not stepper.advance():
             blowup = True  # the stepper still holds the last finite state, the one at t
             break
         n += 1

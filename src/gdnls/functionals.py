@@ -43,8 +43,6 @@ __all__ = [
     "agmon_ratio",
     "gn1_ratio",
     "gn2_ratio",
-    "GNReport",
-    "gn_checks",
 ]
 
 
@@ -289,13 +287,3 @@ def gn2_ratio(f: Field) -> float:
         * _grad_sq(f) ** (1 / 3)
     )
     return _lpp(f, 6.0) / denom
-
-
-class GNReport(NamedTuple):
-    agmon: float
-    gn1: float
-    gn2: float
-
-
-def gn_checks(f: Field, p: float = 1.0) -> GNReport:
-    return GNReport(agmon_ratio(f, p), gn1_ratio(f), gn2_ratio(f))

@@ -105,11 +105,25 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
         ["soliton", "--params.omega", "NaN"],
         ["certify", "--params.sigma", "Infinity", "--grid.N", "256"],
         ["minimize-mu", "--params.omega", "NaN"],
+        # so are infinite exponents, by validate_params before any step or descent
+        ["simulate", "--params.alpha", "Infinity", "--grid.N", "256", "--scheme.T", "0.01"],
+        ["minimize-mu", "--params.alpha", "Infinity", "--params.c", "0.5", "--params.beta", "-0.5"],
+        # initial data the config builds must be finite, and mass_pi needs nonzero data
+        ["certify", "--data.amplitude", "NaN", "--grid.N", "256"],
+        ["simulate", "--data.amplitude", "NaN", "--grid.N", "256", "--scheme.T", "0.01"],
+        ["certify", "--data.width", "0", "--grid.N", "256"],
+        ["certify", "--data.amplitude", "0", "--data.mass_pi", "3", "--grid.N", "256"],
+        # a check over nothing would pass vacuously
+        ["verify", "--verify.fields", "0"],
+        ["verify", "--verify.fields", "-3"],
+        ["zroot", "--zroot.sigmas", "[]"],
     )
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, argv
+        if argv[:2] == ["minimize-mu", "--params.alpha"]:
+            assert "BadExponents" in err and "finite" in err, err
 
 
 def test_unexpected_error_exits_3_with_traceback(outdir, monkeypatch, capsys):
@@ -332,7 +346,7 @@ def test_zroot_single_sigma(outdir):
 
 def test_environment_overrides_config_out(outdir, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"out": str(tmp_path / "elsewhere"), "zroot": {"sigmas": []}}))
+    cfg.write_text(json.dumps({"out": str(tmp_path / "elsewhere"), "zroot": {"sigmas": [1.5]}}))
     assert main(["zroot", str(cfg)]) == 0
     assert (outdir / "manifest.json").exists()
     assert not (tmp_path / "elsewhere").exists()

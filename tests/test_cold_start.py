@@ -1,5 +1,5 @@
-"""scipy loads on first use: a sigma = 1 run never imports it, and the sigma != 1
-interior level loads scipy.special alone."""
+"""scipy loads on first use: a sigma = 1 run and a sigma != 1 endpoint certificate
+never import it, and the sigma != 1 interior level loads scipy.special alone."""
 
 import os
 import subprocess
@@ -18,7 +18,8 @@ import sys, tempfile
 import numpy as np
 
 import gdnls, gdnls.cli
-from gdnls import Field, Grid, Params, SchemeConfig, integrate, mu_reference
+from gdnls import (Field, Grid, Params, SchemeConfig, SearchConfig, certify_global,
+                   corollary15_data, integrate, mu_reference)
 
 with tempfile.TemporaryDirectory() as tmp:
     assert gdnls.cli.main(["certify", "--grid.N", "512", "--out", tmp]) == 0
@@ -27,6 +28,12 @@ u0 = Field(g, np.exp(-g.x**2).astype(complex))
 traj = integrate(u0, SchemeConfig(1e-3, 5e-3), Params(1.0, 1.0, 0.0))
 assert not traj.blowup and traj.times[-1] == 5e-3
 mu_reference(Params(2.0, 0.25, 1.0))
+# acceptance 6's modulated sigma = 2 datum hits on the endpoint route, so the
+# interior table, whose levels need scipy, is never built
+g2 = Grid(20 * np.pi, 1024)
+psi = Field(g2, (1.2 * np.exp(-(g2.x**2) / 4)).astype(complex))
+hit = certify_global(corollary15_data(psi, 12.8), SearchConfig(2.0, "modulation"))
+assert hit.strategy == "modulation", hit
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded[:5]
 print(repr(mu_reference({INTERIOR!r})))

@@ -141,6 +141,10 @@ def test_validate_params_exponent_conditions():
         validate_params(Params(1.0, 1.0, 1.0, 1.0, 0.5))  # beta*c > 0
     with pytest.raises(BadExponents):
         validate_params(Params(1.0, 0.25, 1.0, 1.0, 0.0))  # endpoint needs beta < 0
+    # alpha = inf passes every sign condition above, so finiteness is checked first
+    for a, b in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(BadExponents, match="finite"):
+            validate_params(Params(1.0, 1.0, 0.0, a, b))
 
 
 def test_require_admissible_branches():

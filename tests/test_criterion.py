@@ -234,9 +234,8 @@ def test_route_pass_is_the_scalar_rule(build, search):
     """Walking the tables in scan order with the scalar membership gives the same outcome."""
     u = build()
     res = certify_global(u, search)
-    speeds = criterion._speed_grid(u.grid.L)
-    scan = [p for route in ("massless-scan", "grid-search")
-            for p in criterion._route_table(search.sigma, route, speeds).params]
+    scan = [p for route in criterion._ROUTES
+            for p in criterion._route_table(search.sigma, u.grid.L, route).params]
     first, best = None, None
     for i, p in enumerate(scan):
         m = membership(u, p)

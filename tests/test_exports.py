@@ -9,14 +9,14 @@ MODULES = ("core", "criterion", "errors", "evolve", "functionals", "variational"
 # every name the package exported when it still listed its imports by hand
 EXPORTED_BEFORE = {
     "BadExponents", "BoundaryProximity", "Certificate", "ClosedFormInvariants",
-    "DiagnosticsRecord", "F_sigma", "Field", "GNReport", "GdnlsError", "Grid",
+    "DiagnosticsRecord", "F_sigma", "Field", "GdnlsError", "Grid",
     "IdentityReport", "Inapplicable", "IncompatibleModulation", "InvarianceReport",
     "Membership", "MinimizeConfig", "Moments", "MuEstimate", "NoBracket", "NotAdmissible",
-    "NotFound", "NotProjectable", "Overflow", "Params", "SchemeConfig",
+    "NotFound", "NotProjectable", "Params", "SchemeConfig",
     "SearchConfig", "SigmaUnsupported", "SolitonSpec", "TildeValues", "Trajectory",
     "ZeroField", "action_S", "agmon_ratio", "certify_global", "closed_form_invariants",
     "core", "corollary15_data", "criterion", "elliptic_residual", "energy", "errors",
-    "estimate_mu", "evolve", "functionals", "gn1_ratio", "gn2_ratio", "gn_checks",
+    "estimate_mu", "evolve", "functionals", "gn1_ratio", "gn2_ratio",
     "guo_wu_bound", "guo_wu_bound_values", "homogeneity_split", "identity_suite",
     "integrate", "invariance_check", "is_grid_compatible", "load_field", "mass",
     "membership", "modulate", "moments", "momentum",
@@ -28,12 +28,14 @@ EXPORTED_BEFORE = {
 # names deleted on purpose because nothing outside their own tests called them:
 # the sigma = 1 gauge frame, the companion virial form, the antiderivative behind
 # the gauge phase, the pointwise first integral of the profile equation, the
-# translation-aligned modulus error (now a test helper), and the quadrature error,
-# which nothing raises since J_nu became a closed form
+# translation-aligned modulus error (now a test helper), the quadrature error,
+# which nothing raises since J_nu became a closed form, the step overflow error,
+# which integrate caught before any caller could see it, and the GN-ratio bundle,
+# whose one caller read only gn1 (the three ratios stay exported on their own)
 RETIRED = {
     "I_functional", "gauge_to_w", "gauge_from_w", "calE", "calP", "gw_momentum_floor",
     "cumulative_integral", "first_integral_residual", "modulus_alignment_error",
-    "QuadratureFailure",
+    "QuadratureFailure", "Overflow", "gn_checks", "GNReport",
 }
 
 
