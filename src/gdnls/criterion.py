@@ -81,7 +81,8 @@ class NotFound:
     """Negative search outcome with the closest miss for diagnosis.
 
     margin = max(action - level, -virial) at the best candidate; a value <= 0
-    would have been accepted, so the reported margin is always positive.
+    would have been accepted, so the reported margin is always positive.  A box
+    too small for any finite candidate gives tried = 0, margin = inf and no params.
     """
 
     tried: int
@@ -135,8 +136,10 @@ class _RouteTable(NamedTuple):
 @lru_cache(maxsize=32)
 def _route_table(sigma: float, L: float, route: str) -> _RouteTable:
     unit = 4 * math.pi / L
-    # 40 geometric speeds in [1, 1024] snapped to box-periodic values 4 pi m / L, repeats dropped
-    speeds = dict.fromkeys(unit * max(1, round(c / unit)) for c in np.geomspace(1.0, 1024.0, 40))
+    # 40 geometric speeds in [1, 1024] snapped to box-periodic values 4 pi m / L, repeats
+    # dropped; on a tiny box c^2/4 overflows, and those speeds are not candidates
+    snapped = (unit * max(1, round(c / unit)) for c in np.geomspace(1.0, 1024.0, 40))
+    speeds = dict.fromkeys(c for c in snapped if math.isfinite(c * c / 4))
     if route == "massless-scan":
         raw = [Params(sigma, c * c / 4, c, 1.0, -0.5) for c in speeds]
     else:
@@ -149,7 +152,8 @@ def _route_table(sigma: float, L: float, route: str) -> _RouteTable:
         except (NotAdmissible, BadExponents):
             pass
     level = np.array([mu_reference(p) for p in kept], dtype=float)
-    cols = np.array([(p.omega, p.c, p.alpha, p.beta) for p in kept], dtype=float).T
+    # reshape keeps four (empty) columns when no candidate is left
+    cols = np.array([(p.omega, p.c, p.alpha, p.beta) for p in kept], dtype=float).reshape(-1, 4).T
     return _RouteTable(tuple(kept), level, Params(sigma, *cols))
 
 
@@ -175,6 +179,8 @@ def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
     best = (math.inf, None, math.nan, math.nan, math.nan)  # margin, params, action, level, virial
     for route in _ROUTES:
         table = _route_table(search.sigma, u0.grid.L, route)
+        if not table.params:
+            continue
         action, virial = mom.action(table.cols), mom.virial(table.cols)
         good = (action <= table.level) & (virial >= 0)
         i = int(np.argmax(good))

@@ -130,12 +130,21 @@ def moments(u: Field, sigma: float) -> Moments:
 
 
 def sample_moments(v: np.ndarray, du: np.ndarray, dx: float, sigma: float) -> Moments:
-    """All five integrals from samples of u and u_x on a grid of spacing dx; no transform."""
+    """All five integrals from samples of u and u_x on a grid of spacing dx; no transform.
+
+    One sum, two complex and two real dot products: P and N integrate
+    Re(i conj(u) u_x) = -Im(conj(u) u_x).
+    """
     a2 = v.real**2 + v.imag**2
-    cross = (np.conj(v) * du).imag  # P and N integrate Re(i z) = -Im(z)
     ws = a2**sigma
-    sums = (a2, -cross, du.real**2 + du.imag**2, -ws * cross, ws * a2)
-    return Moments(sigma, *(dx * float(np.sum(f)) for f in sums))
+    return Moments(
+        sigma,
+        dx * float(np.sum(a2)),
+        -dx * float(np.vdot(v, du).imag),
+        dx * float(np.vdot(du, du).real),
+        -dx * float(np.dot(ws, (np.conj(v) * du).imag)),
+        dx * float(np.dot(ws, a2)),
+    )
 
 
 def energy(u: Field, sigma: float) -> float:

@@ -209,6 +209,15 @@ def test_certify_not_found_exits_1(outdir):
     assert man["metrics"]["found"] is False
 
 
+@pytest.mark.parametrize("L", ["1e-160", "1e-154"])
+def test_certify_on_a_box_too_small_for_any_speed_exits_1(outdir, capsys, L):
+    # every snapped speed 4 pi / L has an infinite c^2/4: no candidate, a plain miss
+    assert main(["certify", "--grid.L", L, "--grid.N", "256"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads((outdir / "notfound.json").read_text())
+    assert doc["tried"] == 0 and doc["params"] is None and doc["margin"] == math.inf
+
+
 def test_minimize_mu_ground_state(outdir):
     assert main(["minimize-mu", "--grid.L", "62.83", "--grid.N", "512"]) == 0
     row = (outdir / "mu.csv").read_text().splitlines()[1].split(",")

@@ -111,7 +111,10 @@ def test_overflow_flags_blowup_and_keeps_finite_state():
     g = Grid(60.0, 256)
     phi = profile_phi(SolitonSpec(1.0, 1.0, 0.0), g)
     hot = phi.with_values(50.0 * phi.values)
-    traj = integrate(hot, SchemeConfig(dt=0.05, T=1.0), Params(1.0, 1.0, 0.0))
+    # the overflowing stages and the reload run under the stepper's errstate: no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = integrate(hot, SchemeConfig(dt=0.05, T=1.0), Params(1.0, 1.0, 0.0))
     assert traj.blowup
     assert traj.records[-1].blowup
     assert np.all(np.isfinite(traj.final.values.view(float)))
@@ -293,7 +296,61 @@ def test_step_costs_twelve_transforms_and_records_none(monkeypatch, adaptive):
                      Params(1.0, 1.0, 0.0), sample_every=1)
     n = len(traj.times) - 1  # one record per step
     assert n >= 20
-    assert calls[0] <= 12 * n + 3
+    # the initial forward transform and the paired load of its samples: one call, three rows
+    assert calls == [8 * n + 2, 12 * n + 3]
+
+
+@pytest.mark.parametrize("n, n_calls", [(256, 8), (2 * evolve._PAIRED_MAX_N, 12)])
+def test_advance_makes_twelve_transforms_in_eight_calls_and_a_record_none(monkeypatch, n, n_calls):
+    # above _PAIRED_MAX_N each (u, u_x) pair takes two one-row calls
+    g = Grid(60.0, n)
+    phi = profile_phi(SolitonSpec(1.0, 1.0, 0.5), g)
+    p = Params(1.0, 1.0, 0.5)
+    stepper = evolve._Stepper(g, 1.0, 1e-3)
+    stepper.load(np.fft.fft(phi.values))
+    calls = count_ffts(monkeypatch)
+    stepper.set_dt(2e-3)
+    assert stepper.advance()
+    assert calls == [n_calls, 12]
+    evolve._diagnostics(stepper.u, stepper.ux, g.dx, 2e-3, p, p, False)
+    assert calls == [n_calls, 12]
+
+
+def test_samples_are_views_that_never_leak_into_the_trajectory(monkeypatch):
+    made = []
+
+    class Recorded(evolve._Stepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(evolve, "_Stepper", Recorded)
+    g = Grid(60.0, 256)
+    phi = profile_phi(SolitonSpec(1.0, 1.0, 0.5), g)
+    traj, again = (integrate(phi, SchemeConfig(dt=1e-3, T=0.01), Params(1.0, 1.0, 0.5),
+                             sample_every=1) for _ in range(2))
+    assert len(made) == 2 and len(traj.fields) == 11
+    held = [a for st in made for a in vars(st).values() if isinstance(a, np.ndarray)]
+    for i, f in enumerate(traj.fields):
+        assert not any(np.shares_memory(f.values, h.values) for h in traj.fields[i + 1:])
+        assert not any(np.shares_memory(f.values, a) for a in held)
+    assert traj.records == again.records
+    assert all(np.array_equal(f.values, h.values) for f, h in zip(traj.fields, again.fields))
+
+
+@pytest.mark.parametrize("n", [256, 2 * evolve._PAIRED_MAX_N])
+def test_load_holds_a_copy_and_its_exact_samples(n):
+    g = Grid(60.0, n)
+    rng = np.random.default_rng(3)
+    uh = np.fft.fft(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    stepper = evolve._Stepper(g, 1.5, 1e-3)
+    stepper.load(uh)
+    expect_u, expect_ux = np.fft.ifft(uh), spectral_derivative(g, uh)
+    uh[:] = 0.0  # the stepper holds its own copy
+    assert stepper.uh is not uh and np.any(stepper.uh)
+    assert np.array_equal(stepper.u, expect_u)
+    assert np.array_equal(stepper.ux, expect_ux)
+    assert np.array_equal(stepper.a2, expect_u.real**2 + expect_u.imag**2)
 
 
 def test_invariance_drift_from_records_matches_the_fields():

@@ -26,6 +26,7 @@ from gdnls import (
     momentum,
     nonlinear_N,
     profile_Phi,
+    sample_moments,
     tilde_functionals,
     virial_K,
 )
@@ -85,6 +86,28 @@ def test_moments_match_direct_array_formulas(grid):
         u = band_limited(grid, rng, amplitude=0.5 + 1.5 * rng.random())
         got = (energy(u, p.sigma), action_S(u, p), virial_K(u, p))
         assert got == pytest.approx(_direct(u, p), rel=1e-12)
+
+
+def _five_sums(v, du, dx, sigma):
+    """The five moment integrals as plain sums, the reference for the dot-product form."""
+    a2 = v.real**2 + v.imag**2
+    cross = (np.conj(v) * du).imag
+    ws = a2**sigma
+    return (dx * float(np.sum(a2)), -dx * float(np.sum(cross)),
+            dx * float(np.sum(du.real**2 + du.imag**2)), -dx * float(np.sum(ws * cross)),
+            dx * float(np.sum(ws * a2)))
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0])
+def test_sample_moments_match_the_five_sums(sigma):
+    rng = np.random.default_rng(17)
+    for n in (256, 1024, 4096):
+        v, du = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        got = sample_moments(v, du, 0.05, sigma)
+        assert got.sigma == sigma
+        assert got[1:] == pytest.approx(_five_sums(v, du, 0.05, sigma), rel=1e-13, abs=0.0)
+    zero = np.zeros(64, complex)
+    assert sample_moments(zero, zero, 0.05, sigma)[1:] == (0.0,) * 5
 
 
 def test_scaled_moments_are_the_moments_of_the_scaled_field(grid):
