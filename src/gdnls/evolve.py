@@ -6,8 +6,8 @@ integrating-factor Runge-Kutta step, with the 2/3 rule applied to every
 nonlinear evaluation.  Diagnostics track the conserved quantities, both
 gradient norms, and the virial sign and action that the certified good set
 preserves.  The stepper holds the spectrum together with its samples u and u_x,
-so a step costs 12 transforms in 8 calls (12 above N = 4096), with no
-allocation per step, and a diagnostics record none.
+so a step costs 12 transforms in 8 calls, with no allocation per step, and a
+diagnostics record none.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ __all__ = [
 
 _AMPLITUDE_CAP = 1e6  # growth factor over the initial sup norm that we call blow-up
 _CFL_SAFETY = 0.5  # adaptive runs cap dt at this fraction of dx / max(1, |u|^(2s))
-# Largest N whose (u, u_x) pair takes one two-row inverse transform.  Above it
-# two one-row calls are faster: on a 2-core Xeon the pair took 740 us against
-# 2 x 243 us at N = 16384 and 317 against 2 x 122 at 8192, but 93 against
-# 2 x 74 at 4096.
-_PAIRED_MAX_N = 4096
 
 
 @dataclass(frozen=True)
@@ -111,10 +106,9 @@ class _Stepper:
     ux = F^-1 (ik uh), both read from one inverse transform of the stacked
     pair (uh, ik uh), and |u|^2.  Stage 1 of the next step reads u, ux and
     |u|^2, so a step costs 12 transforms in 8 calls: one forward per stage
-    and one paired inverse for each of stages 2-4 and the reload (12
-    one-row calls above _PAIRED_MAX_N, where each pair takes two).  Every array a step
-    writes is held here, so a step allocates none; u and ux are views into a
-    held buffer and change with every step.
+    and one paired inverse for each of stages 2-4 and the reload.  Every
+    array a step writes is held here, so a step allocates none; u and ux are
+    views into a held buffer and change with every step.
     """
 
     def __init__(self, grid, sigma: float, dt: float):
@@ -168,11 +162,7 @@ class _Stepper:
         """Samples (v, v_x) and |v|^2 of the spectrum in spec[0]."""
         spec, v = self.spec, self.samples[0]
         np.multiply(self.grid.ik_first, spec[0], out=spec[1])
-        if self.grid.N <= _PAIRED_MAX_N:
-            np.fft.ifft(spec, out=self.samples)
-        else:
-            for row in range(2):
-                np.fft.ifft(spec[row], out=self.samples[row])
+        np.fft.ifft(spec, out=self.samples)
         np.multiply(v.real, v.real, out=self.a2)
         self.a2 += np.multiply(v.imag, v.imag, out=self.w)
 

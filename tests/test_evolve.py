@@ -300,10 +300,8 @@ def test_step_costs_twelve_transforms_and_records_none(monkeypatch, adaptive):
     assert calls == [8 * n + 2, 12 * n + 3]
 
 
-@pytest.mark.parametrize("n, n_calls", [(256, 8), (2 * evolve._PAIRED_MAX_N, 12)])
-def test_advance_makes_twelve_transforms_in_eight_calls_and_a_record_none(monkeypatch, n, n_calls):
-    # above _PAIRED_MAX_N each (u, u_x) pair takes two one-row calls
-    g = Grid(60.0, n)
+def test_advance_makes_twelve_transforms_in_eight_calls_and_a_record_none(monkeypatch):
+    g = Grid(60.0, 256)
     phi = profile_phi(SolitonSpec(1.0, 1.0, 0.5), g)
     p = Params(1.0, 1.0, 0.5)
     stepper = evolve._Stepper(g, 1.0, 1e-3)
@@ -311,9 +309,9 @@ def test_advance_makes_twelve_transforms_in_eight_calls_and_a_record_none(monkey
     calls = count_ffts(monkeypatch)
     stepper.set_dt(2e-3)
     assert stepper.advance()
-    assert calls == [n_calls, 12]
+    assert calls == [8, 12]
     evolve._diagnostics(stepper.u, stepper.ux, g.dx, 2e-3, p, p, False)
-    assert calls == [n_calls, 12]
+    assert calls == [8, 12]
 
 
 def test_samples_are_views_that_never_leak_into_the_trajectory(monkeypatch):
@@ -338,11 +336,10 @@ def test_samples_are_views_that_never_leak_into_the_trajectory(monkeypatch):
     assert all(np.array_equal(f.values, h.values) for f, h in zip(traj.fields, again.fields))
 
 
-@pytest.mark.parametrize("n", [256, 2 * evolve._PAIRED_MAX_N])
-def test_load_holds_a_copy_and_its_exact_samples(n):
-    g = Grid(60.0, n)
+def test_load_holds_a_copy_and_its_exact_samples():
+    g = Grid(60.0, 256)
     rng = np.random.default_rng(3)
-    uh = np.fft.fft(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    uh = np.fft.fft(rng.standard_normal(256) + 1j * rng.standard_normal(256))
     stepper = evolve._Stepper(g, 1.5, 1e-3)
     stepper.load(uh)
     expect_u, expect_ux = np.fft.ifft(uh), spectral_derivative(g, uh)
