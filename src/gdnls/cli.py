@@ -24,10 +24,10 @@ from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
-from .core import (Field, Grid, Params, is_grid_compatible, load_field, require_admissible,
-                   require_finite, save_field)
+from .core import (Field, Grid, Params, load_field, modulate, require_admissible, require_finite,
+                   save_field)
 from .criterion import Certificate, SearchConfig, certify_global, corollary15_data, membership
-from .errors import GdnlsError
+from .errors import GdnlsError, IncompatibleModulation
 from .evolve import SchemeConfig, integrate, write_trajectory_csv
 from .functionals import action_S, energy, gn1_ratio, identity_suite, mass, momentum
 from .variational import MinimizeConfig, estimate_mu, mu_reference
@@ -182,13 +182,12 @@ def _initial_data(cfg: dict, grid: Grid) -> Field:
     x = grid.x
     with np.errstate(divide="ignore", invalid="ignore"):  # width 0: require_finite reports it
         vals = float(d["amplitude"]) * np.exp(-(((x - float(d["x0"])) / float(d["width"])) ** 2))
-    vals = vals.astype(complex)
-    boost = float(d["boost"])
-    if boost:
-        if not is_grid_compatible(grid, 2 * boost):
-            raise ConfigError(f"data.boost {boost} is not periodic on L={grid.L}")
-        vals = vals * np.exp(1j * boost * x)
     u = Field(grid, vals)
+    if boost := float(d["boost"]):
+        try:
+            u = modulate(u, 2 * boost)
+        except IncompatibleModulation as exc:
+            raise ConfigError(f"data.boost {boost} is not periodic: {exc}") from exc
     if d["mass_pi"] is not None:
         if not (m := mass(u)):
             raise ConfigError("data.mass_pi cannot rescale zero data")

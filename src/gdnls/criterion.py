@@ -9,7 +9,10 @@ curve omega = c^2/4, so small-mass or negative-momentum data certify at large
 speed.  The speeds form one fixed grid per box, a numerical device rather than
 part of the criterion; the candidates of a route therefore depend only on sigma
 and L, and each route's table of admissible parameters and levels is built once
-per process and cached.
+per process and cached.  The paper's borderline case, mass 4 pi with negative
+momentum, certifies on the endpoint route with the tag "negative-momentum"; the
+gradient bound along its flow is the one `evolve.invariance_check` reads off
+the certificate.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Field, Params, modulate, require_finite, validate_params
-from .errors import BadExponents, Inapplicable, NotAdmissible, ZeroField
-# action_S and virial_K are unused here; bench/tracer.py patches them by name
+from .errors import BadExponents, NotAdmissible, ZeroField
+# action_S, energy, mass, momentum and virial_K are unused here; bench/tracer.py patches them by name
 from .functionals import Moments, action_S, energy, mass, moments, momentum, virial_K  # noqa: F401
 from .variational import mu_reference
 
@@ -36,17 +39,9 @@ __all__ = [
     "membership",
     "certify_global",
     "corollary15_data",
-    "guo_wu_bound",
-    "guo_wu_bound_values",
 ]
 
 STRATEGY_TAGS = ("massless-scan", "negative-momentum", "modulation", "grid-search")
-
-# Young-split constant in the gradient bound: from the sharp quartic
-# interpolation ||u||_L6^6 <= 3 (2 pi)^(-2/3) ||u||_L4^(16/3) ||u_x||^(2/3),
-# splitting the cubic-root gradient factor so exactly half the kinetic term
-# is absorbed.  See guo_wu_bound_values.
-C_QUARTIC_YOUNG = math.sqrt(3.0) / (9.0 * math.pi)
 
 # the routes in scan order, and the interior offsets omega - c^2/4 tried per speed
 _ROUTES = ("massless-scan", "grid-search")
@@ -200,49 +195,12 @@ def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
 
 def _endpoint_tag(mom: Moments) -> str:
     """Which endpoint mechanism applies: borderline mass with leftward drift, or small mass."""
-    if mom.sigma == 1.0 and _borderline_mass(mom.mass) and mom.momentum < 0:
+    borderline = abs(mom.mass - 4 * math.pi) <= 1e-6 * 4 * math.pi  # Wu's 4 pi, to 1e-6 relative
+    if mom.sigma == 1.0 and borderline and mom.momentum < 0:
         return "negative-momentum"
     return "massless-scan"
-
-
-def _borderline_mass(M: float) -> bool:
-    """Mass at Wu's 4 pi threshold, to 1e-6 relative."""
-    return abs(M - 4 * math.pi) <= 1e-6 * 4 * math.pi
 
 
 def corollary15_data(psi: Field, c: float) -> Field:
     """Plane-wave dress e^(i c x / 2) * psi for the large-speed construction."""
     return modulate(psi, c)
-
-
-def guo_wu_bound_values(E: float, M: float, P: float) -> tuple[float, float]:
-    """Arithmetic core of the a priori gradient bound; returns (X, bound).
-
-    X bounds the fourth-power norm: ||u||_L4^4 <= 8 sqrt(pi) E sqrt(M) / |P|.
-    The gradient bound then closes through the gauge transform
-    w = u exp(i/4 int_{-inf}^x |u|^2): its energy gives ||w_x||^2 = 2E + ||w||_L6^6/16,
-    the quartic interpolation bounds the sixth power by X^(8/3) ||w_x||^(2/3),
-    and Young with weights (3/4, 1/4) on the 1/3-2/3 split leaves
-
-        ||u_x||^2 <= 4E + 2 * C * X^2,   C = sqrt(3)/(9 pi).
-    """
-    X = 8 * math.sqrt(math.pi) * E * math.sqrt(M) / abs(P)
-    return X, 4 * E + 2 * C_QUARTIC_YOUNG * X * X
-
-
-def guo_wu_bound(u0: Field) -> float:
-    """A priori bound on ||u_x||^2 for borderline-mass, leftward-drifting data.
-
-    Needs mass 4 pi (to 1e-6 relative), negative momentum, positive energy;
-    anything else is outside the argument's reach.
-    """
-    M = mass(u0)
-    if not _borderline_mass(M):
-        raise Inapplicable(f"mass {M:.8f} is not at the 4*pi borderline")
-    P = momentum(u0)
-    if not P < 0:
-        raise Inapplicable(f"momentum {P:.3e} is not negative")
-    E = energy(u0, 1.0)
-    if not E > 0:
-        raise Inapplicable(f"energy {E:.3e} is not positive")
-    return guo_wu_bound_values(E, M, P)[1]

@@ -33,9 +33,5 @@ class IncompatibleModulation(GdnlsError):
     """Requested plane-wave factor is not periodic on the grid."""
 
 
-class Inapplicable(GdnlsError):
-    """Preconditions of a closed-form bound do not hold for this data."""
-
-
 class BoundaryProximity(UserWarning):
     """Field carries non-negligible mass at the box edge."""

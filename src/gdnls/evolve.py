@@ -201,18 +201,17 @@ class _Stepper:
 
 
 def _diagnostics(
-    u: np.ndarray, ux: np.ndarray, dx: float, t: float, p: Params, diag_p: Params, blowup: bool
+    u: np.ndarray, ux: np.ndarray, dx: float, t: float, diag_p: Params, blowup: bool
 ) -> DiagnosticsRecord:
-    """The record of the samples u and u_x; no transform."""
+    """The record of the samples u and u_x at diag_p, the run's frame; no transform."""
     if blowup:
         # amplitudes near the cap overflow in the higher powers below; the
         # record keeps whatever is representable (inf is fine in a last row)
         with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return replace(_diagnostics(u, ux, dx, t, p, diag_p, False), blowup=True)
-    mom = sample_moments(u, ux, dx, p.sigma)
-    # ||u_x - (ic/2) u||^2 = ||u_x||^2 + c P + c^2 M / 4
-    shifted_sq = mom.grad_sq + diag_p.c * mom.momentum + 0.25 * diag_p.c**2 * mom.mass
+            return replace(_diagnostics(u, ux, dx, t, diag_p, False), blowup=True)
+    mom = sample_moments(u, ux, dx, diag_p.sigma)
+    shifted_sq = mom.modulated(-diag_p.c).grad_sq  # ||u_x - (ic/2) u||^2
     return DiagnosticsRecord(
         t=t, mass=mom.mass, energy=mom.energy(), momentum=mom.momentum,
         h1_seminorm=math.sqrt(mom.grad_sq), shifted_h1=math.sqrt(max(shifted_sq, 0.0)),
@@ -253,13 +252,13 @@ def integrate(
     amp0 = float(np.max(np.abs(u0.values)))
 
     fields = [u0]
-    records = [_diagnostics(u0.values, stepper.ux, grid.dx, 0.0, p, diag_p, False)]
+    records = [_diagnostics(u0.values, stepper.ux, grid.dx, 0.0, diag_p, False)]
     if amp0 == 0.0:
         amp0 = 1.0  # zero data never trips the growth cap
 
     def sample(t: float, blowup: bool) -> None:
         fields.append(Field(grid, stepper.u))
-        records.append(_diagnostics(stepper.u, stepper.ux, grid.dx, t, p, diag_p, blowup))
+        records.append(_diagnostics(stepper.u, stepper.ux, grid.dx, t, diag_p, blowup))
 
     # the budget only binds when the CFL cap collapses dt (clean truncation, not an error)
     budget = 20 * max(1, round(cfg.T / cfg.dt))
@@ -269,7 +268,8 @@ def integrate(
         left = cfg.T - t
         dt = left if cfg.dt - left > 1e-12 * cfg.T else cfg.dt
         if cfg.adaptive:
-            dt = min(dt, _CFL_SAFETY * grid.dx / max(1.0, amp ** (2 * p.sigma)))
+            # dx / max(1, amp^(2s)) in log form, which no amplitude overflows
+            dt = min(dt, _CFL_SAFETY * grid.dx * math.exp(-2 * p.sigma * math.log(max(amp, 1.0))))
         if dt != stepper.dt:
             stepper.set_dt(dt)
         if not stepper.advance():

@@ -5,9 +5,9 @@ Sign conventions: with N(u) = Re int i |u|^(2s) conj(u) u_x,
     E(u) = ||u_x||^2 / 2 - N(u)/(2s+2),   M(u) = ||u||^2,   P(u) = Re int i u_x conj(u),
 
 and the action at speeds (omega, c) is S = E + (omega/2) M + (c/2) P.  The
-"tilde" family evaluates the same objects after removing the plane-wave factor
-exp(i c x / 2); all shifted quantities below use the operator d/dx - i c/2
-directly so no modulation is ever sampled on the grid.
+"tilde" family reads psi in the frame u = exp(i c x / 2) psi: it evaluates the
+same objects on `Moments.modulated(c)`, the moments of u computed from those
+of psi, so no modulation is ever sampled on the grid.
 
 Energy, action, virial and the tilde family are scalar algebra over one
 `Moments` evaluation: one FFT pair from a field, none from samples of u and
@@ -40,7 +40,6 @@ __all__ = [
     "tilde_functionals",
     "IdentityReport",
     "identity_suite",
-    "agmon_ratio",
     "gn1_ratio",
     "gn2_ratio",
 ]
@@ -101,20 +100,25 @@ class Moments(NamedTuple):
             - a * self.nonlinear
         )
 
+    def modulated(self, c: float) -> "Moments":
+        """The moments of e^(icx/2) u: P - cM/2, ||u_x||^2 - cP + c^2 M/4 and N - c Pot/2."""
+        return Moments(self.sigma, self.mass, self.momentum - 0.5 * c * self.mass,
+                       self.grad_sq - c * self.momentum + 0.25 * c * c * self.mass,
+                       self.nonlinear - 0.5 * c * self.pot, self.pot)
+
     def split(self, p: Params) -> tuple[float, float]:
-        """Quadratic and superquadratic parts (A, B) of the modulation-removed virial."""
-        a, b, c, q, w = p.alpha, p.beta, p.c, 2 * self.sigma + 2, p.omega - p.c**2 / 4
-        A = 0.5 * (2 * a - b) * self.grad_sq + 0.5 * (2 * a + b) * w * self.mass
-        return A, (q * a + b) * c / (2 * q) * self.pot - a * self.nonlinear
+        """Parts (A, B) of the modulated virial at l u: l^2 A + l^(2s+2) B."""
+        mod = self.modulated(p.c)
+        return (Moments(self.sigma, mod.mass, mod.momentum, mod.grad_sq, 0.0, 0.0).virial(p),
+                Moments(self.sigma, 0.0, 0.0, 0.0, mod.nonlinear, mod.pot).virial(p))
 
     def tilde(self, p: Params) -> TildeValues:
-        """Action, virial, and remainder with the moments read in the modulation-removed frame."""
-        A, B = self.split(p)
+        """Action and virial of `modulated(c)`, and the remainder J of a(2s+2) S = K + J."""
         a, b, c, s = p.alpha, p.beta, p.c, self.sigma
-        w, q, g, m, pot = p.omega - c * c / 4, 2 * s + 2, self.grad_sq, self.mass, self.pot
-        act = 0.5 * g + 0.5 * w * m + c / (2 * q) * pot - self.nonlinear / q
-        res = 0.5 * (2 * s * a + b) * g + 0.5 * (2 * s * a - b) * w * m - b * c / (2 * q) * pot
-        return TildeValues(act, A + B, res)
+        w, q, g, m = p.omega - c * c / 4, 2 * s + 2, self.grad_sq, self.mass
+        res = 0.5 * (2 * s * a + b) * g + 0.5 * (2 * s * a - b) * w * m - b * c / (2 * q) * self.pot
+        mod = self.modulated(c)
+        return TildeValues(mod.action(p), mod.virial(p), res)
 
     def scaled(self, lam: float) -> "Moments":
         """The moments of lam * u for real lam."""
@@ -267,17 +271,6 @@ def identity_suite(u: Field, p: Params) -> IdentityReport:
 def _nonzero(f: Field) -> None:
     if not np.any(f.values):
         raise ZeroField("ratio undefined for the zero field")
-
-
-def agmon_ratio(f: Field, p: float = 1.0) -> float:
-    """||f||_inf^(2p) over 2p ||f||_(4p-2)^(2p-1) ||f_x||_2; at most 1 for decaying fields."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    _nonzero(f)
-    sup = float(np.max(np.abs(f.values)))
-    lq = _lpp(f, 4 * p - 2) ** (1.0 / (4 * p - 2))
-    grad = math.sqrt(_grad_sq(f))
-    return sup ** (2 * p) / (2 * p * lq ** (2 * p - 1) * grad)
 
 
 def gn1_ratio(f: Field) -> float:

@@ -285,6 +285,17 @@ def test_simulate_blowup_reports_nan_drift(outdir):
     assert "no_blowup" in _failed_checks(outdir)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the first record's powers overflow
+def test_simulate_adaptive_run_of_overflowing_data_exits_1(outdir, capsys):
+    # amplitude^(2 sigma) = 1e400 overflows a float: the CFL cap must not raise
+    code = main(["simulate", "--data.amplitude", "1e100", "--params.sigma", "2",
+                 "--scheme.adaptive", "true", "--grid.N", "256", "--scheme.T", "0.01"])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert _manifest(outdir)["metrics"]["blowup"] == 1
+    assert "no_blowup" in _failed_checks(outdir)
+
+
 def test_simulate_truncated_adaptive_run_exits_1(outdir):
     # sigma = 3 data that collapses: the adaptive step budget stops the run short of T
     code = main(["simulate", "--grid.N", "512", "--params.sigma", "3", "--data.amplitude", "3",

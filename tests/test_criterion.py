@@ -1,7 +1,7 @@
 """Membership classification, the certificate search over admissible speeds,
-and the borderline-mass gradient bound.  The pinned speeds below were frozen
-from deterministic runs of the same constructions; they only move if the scan
-lattice or the data recipes change.
+and the gradient bound along a borderline-mass certified flow.  The pinned
+speeds below were frozen from deterministic runs of the same constructions;
+they only move if the scan lattice or the data recipes change.
 """
 
 import math
@@ -15,7 +15,6 @@ from gdnls import (
     Certificate,
     Field,
     Grid,
-    Inapplicable,
     NotFound,
     Params,
     SchemeConfig,
@@ -25,10 +24,8 @@ from gdnls import (
     action_S,
     certify_global,
     corollary15_data,
-    energy,
-    guo_wu_bound,
-    guo_wu_bound_values,
     integrate,
+    invariance_check,
     is_grid_compatible,
     mass,
     membership,
@@ -283,33 +280,16 @@ def test_certify_miss_integrates_the_data_once(monkeypatch):
     assert calls[0] <= 4
 
 
-def test_guo_wu_bound_on_boosted_gaussian():
+def test_negative_momentum_certificate_bounds_the_flow_gradient():
+    # the paper's borderline case: mass 4 pi with P < 0 certifies, and the
+    # certificate's own a priori bound on ||u_x|| holds along the flow
     g = Grid(60.0, 1024)
     q = 2 * math.pi * 5 / 60.0
     u = _gaussian_with_mass(g, 4.0, boost=q)
-    E, M, P = energy(u, 1.0), mass(u), momentum(u)
-    X, bound = guo_wu_bound_values(E, M, P)
-    assert X == pytest.approx(8 * math.sqrt(math.pi) * E * math.sqrt(M) / abs(P), rel=1e-13)
-    assert guo_wu_bound(u) == pytest.approx(bound, rel=1e-13)
-    # the bound must actually dominate the gradient it controls
-    grad_sq = g.dx * float(np.sum(np.abs(np.fft.ifft(1j * g.k_first * np.fft.fft(u.values))) ** 2))
-    assert grad_sq <= bound
-    # and keep dominating it along the certified flow
     cert = certify_global(u, SearchConfig(sigma=1.0))
-    assert isinstance(cert, Certificate)
+    assert isinstance(cert, Certificate) and cert.strategy == "negative-momentum"
     traj = integrate(u, SchemeConfig(dt=1e-3, T=1.0), Params(1.0, 1.0, 0.0), cert=cert)
     assert not traj.blowup and traj.times[-1] == pytest.approx(1.0, abs=1e-12)
-    assert max(r.h1_seminorm**2 for r in traj.records) <= bound
-
-
-def test_guo_wu_bound_guards():
-    g = Grid(60.0, 512)
-    wrong_mass = Field(g, np.exp(-(g.x**2)).astype(complex))
-    with pytest.raises(Inapplicable):
-        guo_wu_bound(wrong_mass)
-    # borderline mass but rightward drift
-    q = 2 * math.pi * 5 / 60.0
-    u = _gaussian_with_mass(g, 4.0, boost=-q)
-    assert momentum(u) > 0
-    with pytest.raises(Inapplicable):
-        guo_wu_bound(u)
+    rep = invariance_check(traj, cert)
+    assert rep.h1_ok
+    assert max(r.h1_seminorm**2 for r in traj.records) <= rep.h1_bound**2

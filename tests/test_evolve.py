@@ -179,6 +179,17 @@ def test_growth_cap_truncates_with_one_flagged_last_record(monkeypatch):
     assert len(traj.fields) == len(traj.records)
 
 
+def test_adaptive_cap_of_an_amplitude_whose_power_overflows():
+    # amp^(2s) = 1e400 is past the float range; the run returns, flagged as blown up at t = 0
+    g = Grid(60.0, 256)
+    u = Field(g, 1e100 * np.exp(-(g.x**2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the first record's powers overflow
+        traj = integrate(u, SchemeConfig(dt=1e-3, T=0.01, adaptive=True), Params(2.0, 1.0, 0.0))
+    assert isinstance(traj, evolve.Trajectory)
+    assert traj.blowup and traj.times == [0.0]
+
+
 @pytest.mark.parametrize("dt", [1e-3, 3e-3])
 def test_fixed_step_times_are_multiples_of_dt_clipped_at_T(dt):
     # 3e-3 does not divide T: its last step is shortened and lands on T exactly
@@ -274,12 +285,11 @@ def test_diagnostics_record_integrates_the_field_once(monkeypatch):
     # the record reads the stepper's samples of u and u_x and makes no transform
     g = Grid(60.0, 1024)
     u = profile_phi(SolitonSpec(1.0, 1.0, 0.0), g)
-    p = Params(1.0, 1.0, 0.0)
     diag_p = Params(1.0, 4.0, 2.0, 1.0, -0.5)
     vh = np.fft.fft(u.values)
     ux = np.fft.ifft(g.ik_first * vh)
     calls = count_ffts(monkeypatch)
-    rec = evolve._diagnostics(u.values, ux, g.dx, 0.0, p, diag_p, False)
+    rec = evolve._diagnostics(u.values, ux, g.dx, 0.0, diag_p, False)
     assert calls[0] == 0
     # the shifted seminorm from the moments against its spectrum, ||(k - c/2) u^||
     shifted = math.sqrt(g.dx / g.N * float(np.sum(np.abs((g.k_first - 1.0) * vh) ** 2)))
@@ -310,7 +320,7 @@ def test_advance_makes_twelve_transforms_in_eight_calls_and_a_record_none(monkey
     stepper.set_dt(2e-3)
     assert stepper.advance()
     assert calls == [8, 12]
-    evolve._diagnostics(stepper.u, stepper.ux, g.dx, 2e-3, p, p, False)
+    evolve._diagnostics(stepper.u, stepper.ux, g.dx, 2e-3, p, False)
     assert calls == [8, 12]
 
 

@@ -10,14 +10,14 @@ MODULES = ("core", "criterion", "errors", "evolve", "functionals", "variational"
 EXPORTED_BEFORE = {
     "BadExponents", "BoundaryProximity", "Certificate", "ClosedFormInvariants",
     "DiagnosticsRecord", "F_sigma", "Field", "GdnlsError", "Grid",
-    "IdentityReport", "Inapplicable", "IncompatibleModulation", "InvarianceReport",
+    "IdentityReport", "IncompatibleModulation", "InvarianceReport",
     "Membership", "MinimizeConfig", "Moments", "MuEstimate", "NoBracket", "NotAdmissible",
     "NotFound", "NotProjectable", "Params", "SchemeConfig",
     "SearchConfig", "SigmaUnsupported", "SolitonSpec", "TildeValues", "Trajectory",
-    "ZeroField", "action_S", "agmon_ratio", "certify_global", "closed_form_invariants",
+    "ZeroField", "action_S", "certify_global", "closed_form_invariants",
     "core", "corollary15_data", "criterion", "elliptic_residual", "energy", "errors",
     "estimate_mu", "evolve", "functionals", "gn1_ratio", "gn2_ratio",
-    "guo_wu_bound", "guo_wu_bound_values", "homogeneity_split", "identity_suite",
+    "homogeneity_split", "identity_suite",
     "integrate", "invariance_check", "is_grid_compatible", "load_field", "mass",
     "membership", "modulate", "moments", "momentum",
     "mu_reference", "nonlinear_N", "profile_Phi", "profile_phi", "require_admissible",
@@ -30,12 +30,16 @@ EXPORTED_BEFORE = {
 # the gauge phase, the pointwise first integral of the profile equation, the
 # translation-aligned modulus error (now a test helper), the quadrature error,
 # which nothing raises since J_nu became a closed form, the step overflow error,
-# which integrate caught before any caller could see it, and the GN-ratio bundle,
-# whose one caller read only gn1 (the three ratios stay exported on their own)
+# which integrate caught before any caller could see it, the GN-ratio bundle,
+# whose one caller read only gn1 (gn1_ratio and gn2_ratio stay exported on their
+# own), the Agmon ratio, which only its own tests called, and the Guo-Wu gradient
+# bound with its error, a looser duplicate of the bound invariance_check reads
+# off a negative-momentum certificate
 RETIRED = {
     "I_functional", "gauge_to_w", "gauge_from_w", "calE", "calP", "gw_momentum_floor",
     "cumulative_integral", "first_integral_residual", "modulus_alignment_error",
-    "QuadratureFailure", "Overflow", "gn_checks", "GNReport",
+    "QuadratureFailure", "Overflow", "gn_checks", "GNReport", "agmon_ratio",
+    "guo_wu_bound", "guo_wu_bound_values", "Inapplicable",
 }
 
 

@@ -15,7 +15,6 @@ from gdnls import (
     SolitonSpec,
     ZeroField,
     action_S,
-    agmon_ratio,
     energy,
     gn1_ratio,
     gn2_ratio,
@@ -118,6 +117,15 @@ def test_scaled_moments_are_the_moments_of_the_scaled_field(grid):
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_modulated_moments_are_the_moments_of_the_modulated_field(grid):
+    u = band_limited(grid, np.random.default_rng(14))
+    c = -3 * 4 * math.pi / grid.L
+    for sigma in (1.0, 2.5):
+        got = moments(u, sigma).modulated(c)
+        want = moments(modulate(u, c), sigma)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_identity_suite_randomized(grid):
     rng = np.random.default_rng(2026)
     worst = 0.0
@@ -161,26 +169,16 @@ def test_gn1_sharp_at_ground_profile():
     assert mass(Q) == pytest.approx(2 * math.pi, rel=1e-6)
 
 
-def test_agmon_ratio_gaussian_pinned():
-    # sup = 1, ||f||_2 = pi^(1/4), ||f'||_2 = (sqrt(pi)/2)^(1/2)
-    # so the p = 1 ratio is exactly 1/sqrt(2 pi)
-    g = Grid(80.0, 2048)
-    f = Field(g, np.exp(-(g.x**2) / 2))
-    assert agmon_ratio(f) == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-10)
-    with pytest.raises(ValueError):
-        agmon_ratio(f, p=0.5)
-
-
 def test_ratios_bounded_by_one_on_decaying_fields(grid):
     rng = np.random.default_rng(9)
     for _ in range(5):
         u = enveloped(grid, rng, amplitude=0.5 + rng.random())
-        for fn in (agmon_ratio, gn1_ratio, gn2_ratio):
+        for fn in (gn1_ratio, gn2_ratio):
             assert fn(u) <= 1.0 + 1e-9
 
 
 def test_ratios_reject_zero_field(grid):
     z = Field(grid, np.zeros(grid.N))
-    for fn in (agmon_ratio, gn1_ratio, gn2_ratio):
+    for fn in (gn1_ratio, gn2_ratio):
         with pytest.raises(ZeroField):
             fn(z)
