@@ -139,8 +139,17 @@ def _config_input():
 
 
 @_config_input()
+def _count(value, key: str) -> int:
+    """A whole number of at least 1; a fraction is refused, not truncated."""
+    n = float(value)
+    if not (n.is_integer() and n >= 1):
+        raise ValueError(f"{key} must be a whole number of at least 1, got {value!r}")
+    return int(n)
+
+
+@_config_input()
 def _grid(cfg: dict) -> Grid:
-    return Grid(float(cfg["grid"]["L"]), int(cfg["grid"]["N"]))
+    return Grid(float(cfg["grid"]["L"]), _count(cfg["grid"]["N"], "grid.N"))
 
 
 @_config_input()
@@ -155,7 +164,9 @@ def _params(cfg: dict) -> Params:
 @_config_input()
 def _scheme(cfg: dict) -> SchemeConfig:
     s = cfg["scheme"]
-    return SchemeConfig(dt=float(s["dt"]), T=float(s["T"]), adaptive=bool(s["adaptive"]))
+    if not isinstance(s["adaptive"], bool):  # bool("no") would be True
+        raise ValueError(f"scheme.adaptive must be true or false, got {s['adaptive']!r}")
+    return SchemeConfig(dt=float(s["dt"]), T=float(s["T"]), adaptive=s["adaptive"])
 
 
 @_config_input()
@@ -193,7 +204,10 @@ def _initial_data(cfg: dict, grid: Grid) -> Field:
             raise ConfigError("data.mass_pi cannot rescale zero data")
         u = u.with_values(u.values * math.sqrt(float(d["mass_pi"]) * math.pi / m))
     if family == "modulated":
-        u = corollary15_data(u, float(d["speed"]))
+        try:
+            u = corollary15_data(u, float(d["speed"]))
+        except IncompatibleModulation as exc:
+            raise ConfigError(f"data.speed {d['speed']} is not periodic: {exc}") from exc
     return require_finite(u, "initial data")
 
 
@@ -252,7 +266,7 @@ def cmd_soliton(cfg: dict) -> int:
     _write_csv(run.path("profile.csv"), "x,re,im,abs",
                [(repr(x), repr(v.real), repr(v.imag), repr(abs(v)))
                 for x, v in zip(grid.x, phi.values)])
-    run.metrics["slow_decay"] = phi.slow_decay
+    run.metrics["slow_decay"] = spec.massless
 
     numeric = {"M": mass(phi), "P": momentum(phi), "E": energy(phi, p.sigma),
                "S": action_S(phi, p)}
@@ -266,13 +280,13 @@ def cmd_soliton(cfg: dict) -> int:
             continue
         rel = abs(num - refs[name]) / max(abs(refs[name]), 1.0)
         rows.append((name, repr(num), repr(refs[name]), repr(rel)))
-        if not phi.slow_decay:
+        if not spec.massless:
             run.check(f"invariant_{name}", rel, 1e-6, rel < 1e-6)
     _write_csv(run.path("invariants.csv"), "quantity,numeric,closed,relerr", rows)
 
     res = elliptic_residual(profile_Phi(spec, grid), p)
     run.metrics["elliptic_residual"] = res
-    if not phi.slow_decay:
+    if not spec.massless:
         run.check("elliptic_residual", res, 1e-8, res < 1e-8)
     return run.finish()
 
@@ -281,10 +295,7 @@ def cmd_verify(cfg: dict) -> int:
     run = Run("verify", cfg)
     grid = _grid(cfg)
     rng, modes = np.random.default_rng(0), 24  # one fixed corpus, spectra on |m| <= 24
-    with _config_input():
-        n_fields = int(cfg["verify"]["fields"])
-        if n_fields < 1:
-            raise ValueError(f"verify.fields must be at least 1, got {n_fields}")
+    n_fields = _count(cfg["verify"]["fields"], "verify.fields")
     param_pool = [
         Params(1.0, 1.0, 0.0, 1.0, 0.0),
         Params(1.0, 1.0, 1.0, 1.0, -1.0),
@@ -365,10 +376,7 @@ def cmd_simulate(cfg: dict) -> int:
     p = _params(cfg)
     scheme = _scheme(cfg)
     u0 = _initial_data(cfg, grid)
-    with _config_input():
-        every = int(cfg["sample_every"])
-        if every < 1:
-            raise ValueError(f"sample_every must be at least 1, got {every}")
+    every = _count(cfg["sample_every"], "sample_every")
     traj = integrate(u0, scheme, p, sample_every=every)
     write_trajectory_csv(traj, run.path("trajectory.csv"))
     save_field(u0, run.path("initial_field.json"))

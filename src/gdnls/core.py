@@ -64,33 +64,20 @@ class Grid:
         return k
 
     @cached_property
-    def k_first(self) -> np.ndarray:
-        # Odd-order derivative wavenumbers: the unpaired Nyquist mode is
-        # dropped so that derivatives of real fields stay (nearly) real.
-        k = self.k.copy()
-        k[self.N // 2] = 0.0
-        k.setflags(write=False)
-        return k
-
-    @cached_property
     def ik_first(self) -> np.ndarray:
-        """The first-derivative symbol 1j * k_first."""
-        ik = 1j * self.k_first
+        """1j * k with the unpaired Nyquist mode zeroed: derivatives of real fields stay real."""
+        ik = 1j * self.k
+        ik[self.N // 2] = 0.0
         ik.setflags(write=False)
         return ik
 
 
 @dataclass(frozen=True)
 class Field:
-    """Complex-valued samples on a Grid.
-
-    slow_decay marks profiles with algebraic tails; consumers that assume
-    exponential boundary decay should only warn, not fail, for such fields.
-    """
+    """Complex-valued samples on a Grid, copied and read-only."""
 
     grid: Grid
     values: np.ndarray
-    slow_decay: bool = False
 
     def __post_init__(self) -> None:
         v = np.array(self.values, dtype=np.complex128)

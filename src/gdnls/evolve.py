@@ -13,8 +13,7 @@ diagnostics record none.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +61,6 @@ class DiagnosticsRecord:
     shifted_h1: float
     virial: float
     action: float
-    blowup: bool
 
 
 @dataclass(frozen=True)
@@ -70,14 +68,11 @@ class Trajectory:
     fields: list[Field]
     records: list[DiagnosticsRecord]
     frame: Params  # the parameters the frame-dependent record columns are read at
+    blowup: bool  # a step left the finite range or passed the growth cap; the records stop there
 
     @property
     def times(self) -> list[float]:
         return [r.t for r in self.records]
-
-    @property
-    def blowup(self) -> bool:
-        return any(r.blowup for r in self.records)
 
     @property
     def final(self) -> Field:
@@ -133,8 +128,7 @@ class _Stepper:
     def load(self, uh: np.ndarray) -> None:
         """Hold a copy of uh and its samples u, u_x and |u|^2."""
         self.uh[:] = uh
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._reload()
+        self._reload()
 
     def _reload(self) -> None:
         self.spec[0] = self.uh
@@ -180,45 +174,39 @@ class _Stepper:
     def advance(self) -> bool:
         """One step from the held state; False, keeping that state, if the step left the finite range."""
         uh, out = self.uh, self.out
-        with np.errstate(over="ignore", invalid="ignore"):
-            n1 = self._stage(0)
-            np.multiply(self.E1, uh, out=self.e1uh)
-            np.multiply(self.E2, uh, out=out)
-            self._input(self.A, n1, self.e1uh)
-            n2 = self._stage(1)
-            self._input(self.B, n2, self.e1uh)
-            n3 = self._stage(2)
-            self._input(self.C, n3, out)
-            n4 = self._stage(3)
-            out += np.multiply(self.D1, n1, out=n1)
-            out += np.multiply(self.D23, np.add(n2, n3, out=n2), out=n2)
-            out += np.multiply(self.D4, n4, out=n4)
-            finite = bool(np.isfinite(out.view(np.float64), out=self.finite).all())
-            if finite:
-                self.uh, self.out = out, uh
-            self._reload()
+        n1 = self._stage(0)
+        np.multiply(self.E1, uh, out=self.e1uh)
+        np.multiply(self.E2, uh, out=out)
+        self._input(self.A, n1, self.e1uh)
+        n2 = self._stage(1)
+        self._input(self.B, n2, self.e1uh)
+        n3 = self._stage(2)
+        self._input(self.C, n3, out)
+        n4 = self._stage(3)
+        out += np.multiply(self.D1, n1, out=n1)
+        out += np.multiply(self.D23, np.add(n2, n3, out=n2), out=n2)
+        out += np.multiply(self.D4, n4, out=n4)
+        finite = bool(np.isfinite(out.view(np.float64), out=self.finite).all())
+        if finite:
+            self.uh, self.out = out, uh
+        self._reload()
         return finite
 
 
 def _diagnostics(
-    u: np.ndarray, ux: np.ndarray, dx: float, t: float, diag_p: Params, blowup: bool
+    u: np.ndarray, ux: np.ndarray, dx: float, t: float, diag_p: Params
 ) -> DiagnosticsRecord:
     """The record of the samples u and u_x at diag_p, the run's frame; no transform."""
-    if blowup:
-        # amplitudes near the cap overflow in the higher powers below; the
-        # record keeps whatever is representable (inf is fine in a last row)
-        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return replace(_diagnostics(u, ux, dx, t, diag_p, False), blowup=True)
     mom = sample_moments(u, ux, dx, diag_p.sigma)
     shifted_sq = mom.modulated(-diag_p.c).grad_sq  # ||u_x - (ic/2) u||^2
     return DiagnosticsRecord(
         t=t, mass=mom.mass, energy=mom.energy(), momentum=mom.momentum,
         h1_seminorm=math.sqrt(mom.grad_sq), shifted_h1=math.sqrt(max(shifted_sq, 0.0)),
-        virial=mom.virial(diag_p), action=mom.action(diag_p), blowup=blowup,
+        virial=mom.virial(diag_p), action=mom.action(diag_p),
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     u0: Field,
     cfg: SchemeConfig,
@@ -236,8 +224,8 @@ def integrate(
     fixed-step run sits at min(n dt, T) after n steps and ends at T; an
     adaptive run stops short only at its budget of 20 round(T/dt) steps.
     Blow-up (a step that leaves the finite range, or sup-norm growth beyond
-    1e6 of the initial) truncates the trajectory: the last good field is kept
-    and the final record carries the blowup flag.
+    1e6 of the initial) truncates the trajectory and sets Trajectory.blowup;
+    the last good field and its record are kept.  Overflow raises no warning.
     """
     validate_params(p)
     if sample_every < 1:
@@ -252,13 +240,13 @@ def integrate(
     amp0 = float(np.max(np.abs(u0.values)))
 
     fields = [u0]
-    records = [_diagnostics(u0.values, stepper.ux, grid.dx, 0.0, diag_p, False)]
+    records = [_diagnostics(u0.values, stepper.ux, grid.dx, 0.0, diag_p)]
     if amp0 == 0.0:
         amp0 = 1.0  # zero data never trips the growth cap
 
-    def sample(t: float, blowup: bool) -> None:
+    def sample(t: float) -> None:
         fields.append(Field(grid, stepper.u))
-        records.append(_diagnostics(stepper.u, stepper.ux, grid.dx, t, diag_p, blowup))
+        records.append(_diagnostics(stepper.u, stepper.ux, grid.dx, t, diag_p))
 
     # the budget only binds when the CFL cap collapses dt (clean truncation, not an error)
     budget = 20 * max(1, round(cfg.T / cfg.dt))
@@ -281,12 +269,10 @@ def integrate(
             blowup = True
             break
         if n % sample_every == 0:
-            sample(t, False)
+            sample(t)
     if records[-1].t != t:
-        sample(t, blowup)
-    elif blowup:
-        records[-1] = replace(records[-1], blowup=True)
-    return Trajectory(fields, records, diag_p)
+        sample(t)
+    return Trajectory(fields, records, diag_p, blowup)
 
 
 def invariance_check(traj: Trajectory, cert: Certificate) -> InvarianceReport:
@@ -328,10 +314,12 @@ def invariance_check(traj: Trajectory, cert: Certificate) -> InvarianceReport:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """One row per record; the blowup column reads 1 on the last row of a blown-up run."""
+    last = len(traj.records) - 1
     with open(path, "w") as fh:
         fh.write("t,M,E,P,H1seminorm,shiftedH1,K,blowup\n")
-        for r in traj.records:
+        for i, r in enumerate(traj.records):
             fh.write(
                 f"{r.t!r},{r.mass!r},{r.energy!r},{r.momentum!r},"
-                f"{r.h1_seminorm!r},{r.shifted_h1!r},{r.virial!r},{int(r.blowup)}\n"
+                f"{r.h1_seminorm!r},{r.shifted_h1!r},{r.virial!r},{int(traj.blowup and i == last)}\n"
             )

@@ -89,8 +89,8 @@ def _amplitude(spec: SolitonSpec, y: np.ndarray) -> np.ndarray:
     return _amplitude_power(spec, y) ** (1.0 / (2 * spec.sigma))
 
 
-def _warn_edge(f: Field, what: str) -> None:
-    tol = _EDGE_TOL_SLOW if f.slow_decay else _EDGE_TOL
+def _warn_edge(f: Field, spec: SolitonSpec, what: str) -> None:
+    tol = _EDGE_TOL_SLOW if spec.massless else _EDGE_TOL
     frac = f.boundary_fraction()
     if frac > tol:
         warnings.warn(
@@ -104,8 +104,8 @@ def _warn_edge(f: Field, what: str) -> None:
 def profile_Phi(spec: SolitonSpec, grid: Grid) -> Field:
     """Real positive amplitude Phi, translated by x0."""
     vals = _amplitude(spec, grid.x - spec.x0)
-    f = Field(grid, vals, slow_decay=spec.massless)
-    _warn_edge(f, "profile_Phi")
+    f = Field(grid, vals)
+    _warn_edge(f, spec, "profile_Phi")
     return f
 
 
@@ -127,8 +127,8 @@ def _sampled_wave(spec: SolitonSpec, grid: Grid, shift: float, phase0: float) ->
     """Phi(y) * exp(i*(c/2) y - i*I(y)/(2s+2) + i*phase0) at y = x - shift."""
     y = grid.x - shift
     phase = 0.5 * spec.c * y - _phase_integral(spec, y) + phase0
-    f = Field(grid, _amplitude(spec, y) * np.exp(1j * phase), slow_decay=spec.massless)
-    _warn_edge(f, "profile")
+    f = Field(grid, _amplitude(spec, y) * np.exp(1j * phase))
+    _warn_edge(f, spec, "profile")
     return f
 
 

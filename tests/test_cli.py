@@ -89,6 +89,8 @@ def test_retired_scheme_and_descent_keys_are_unknown(outdir, capsys):
 
 def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
     # each is reported as a config error by the helper that reads it
+    no_config = tmp_path / "no.json"
+    no_config.write_text(json.dumps({"scheme": {"adaptive": "no"}}))
     cases = (
         ["soliton", "--params.sigma", "0.5"],
         ["soliton", "--data.x0", "left"],
@@ -118,10 +120,26 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
         ["verify", "--verify.fields", "-3"],
         ["zroot", "--zroot.sigmas", "[]"],
     )
-    for argv in cases:
+    # these messages name the key
+    keyed = (
+        # a switch must be a JSON boolean: bool("False") and bool("no") are True
+        (["simulate", "--scheme.adaptive", "False", "--grid.N", "256", "--scheme.T", "0.01"],
+         "scheme.adaptive"),
+        (["simulate", str(no_config), "--grid.N", "256", "--scheme.T", "0.01"], "scheme.adaptive"),
+        # a count must be whole: a fraction is refused, not truncated
+        (["simulate", "--grid.N", "256.9", "--scheme.T", "0.01"], "grid.N"),
+        (["simulate", "--sample_every", "2.5", "--grid.N", "256", "--scheme.T", "0.01"],
+         "sample_every"),
+        (["verify", "--verify.fields", "1.5"], "verify.fields"),
+        # a modulation speed must be box-periodic
+        (["certify", "--data.family", "modulated", "--data.speed", "0.3", "--grid.N", "256"],
+         "data.speed"),
+    )
+    for argv, key in [(argv, None) for argv in cases] + list(keyed):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, argv
+        assert key is None or key in err, err
         if argv[:2] == ["minimize-mu", "--params.alpha"]:
             assert "BadExponents" in err and "finite" in err, err
 
@@ -285,7 +303,7 @@ def test_simulate_blowup_reports_nan_drift(outdir):
     assert "no_blowup" in _failed_checks(outdir)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the first record's powers overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the first record's powers overflow silently
 def test_simulate_adaptive_run_of_overflowing_data_exits_1(outdir, capsys):
     # amplitude^(2 sigma) = 1e400 overflows a float: the CFL cap must not raise
     code = main(["simulate", "--data.amplitude", "1e100", "--params.sigma", "2",
@@ -294,6 +312,19 @@ def test_simulate_adaptive_run_of_overflowing_data_exits_1(outdir, capsys):
     assert "Traceback" not in capsys.readouterr().err
     assert _manifest(outdir)["metrics"]["blowup"] == 1
     assert "no_blowup" in _failed_checks(outdir)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_fixed_step_run_of_overflowing_data_exits_1_without_warnings(outdir, capsys):
+    # the same datum at a fixed step: the t = 0 record overflows and the first step
+    # leaves the finite range, all under the one errstate of integrate
+    code = main(["simulate", "--data.amplitude", "1e100", "--params.sigma", "2",
+                 "--grid.N", "256", "--scheme.T", "0.01"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert _manifest(outdir)["metrics"]["blowup"] == 1
+    assert (outdir / "trajectory.csv").read_text().strip().split("\n")[-1].endswith(",1")
 
 
 def test_simulate_truncated_adaptive_run_exits_1(outdir):

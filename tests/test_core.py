@@ -31,7 +31,8 @@ def test_grid_layout():
     assert g.k[1] == pytest.approx(2 * math.pi / 60.0)
     # Nyquist mode is kept for even derivatives, dropped for odd ones
     assert g.k[128] != 0.0
-    assert g.k_first[128] == 0.0
+    assert g.ik_first[128] == 0.0
+    assert np.array_equal(g.ik_first[:128], 1j * g.k[:128])
 
 
 def test_grid_rejects_bad_sizes():
@@ -55,12 +56,11 @@ def test_field_copies_input_and_is_read_only():
         Field(g, np.ones(65))
 
 
-def test_with_values_keeps_grid_and_flags():
+def test_with_values_keeps_the_grid():
     g = Grid(60.0, 64)
-    f = Field(g, np.ones(64), slow_decay=True)
+    f = Field(g, np.ones(64))
     h = f.with_values(2.0 * f.values)
     assert h.grid is g
-    assert h.slow_decay
     assert float(np.max(np.abs(h.values))) == 2.0
 
 

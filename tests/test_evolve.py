@@ -107,16 +107,22 @@ def test_dealias_clips_generated_high_modes():
     assert abs(np.fft.fft(traj.final.values)[22] / g.N) < 1e-14
 
 
-def test_overflow_flags_blowup_and_keeps_finite_state():
+def _csv_blowup_column(traj, tmp_path):
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    return [row.split(",")[7] for row in path.read_text().strip().split("\n")[1:]]
+
+
+def test_overflow_flags_blowup_and_keeps_finite_state(tmp_path):
     g = Grid(60.0, 256)
     phi = profile_phi(SolitonSpec(1.0, 1.0, 0.0), g)
     hot = phi.with_values(50.0 * phi.values)
-    # the overflowing stages and the reload run under the stepper's errstate: no warning escapes
+    # the overflowing stages and the reload run under integrate's errstate: no warning escapes
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         traj = integrate(hot, SchemeConfig(dt=0.05, T=1.0), Params(1.0, 1.0, 0.0))
     assert traj.blowup
-    assert traj.records[-1].blowup
+    assert _csv_blowup_column(traj, tmp_path) == ["0"] * (len(traj.records) - 1) + ["1"]
     assert np.all(np.isfinite(traj.final.values.view(float)))
     assert traj.times[-1] < 1.0
     # the flagged record describes the kept state
@@ -124,18 +130,18 @@ def test_overflow_flags_blowup_and_keeps_finite_state():
     assert traj.records[-1].mass == pytest.approx(mass(traj.final), rel=1e-12)
 
 
-def test_overflow_on_a_sampled_step_flags_that_record():
+def test_overflow_on_a_sampled_step_flags_that_record(tmp_path):
     # with a record every step the overflowing step finds its state already
-    # sampled: that record is flagged in place, and nothing is appended
+    # sampled: that record is the last, nothing is appended, and no warning escapes
     g = Grid(60.0, 256)
     phi = profile_phi(SolitonSpec(1.0, 1.0, 0.0), g)
     hot = phi.with_values(50.0 * phi.values)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         traj = integrate(hot, SchemeConfig(dt=0.05, T=1.0), Params(1.0, 1.0, 0.0), sample_every=1)
     assert len(traj.times) == len(traj.fields) == len(traj.records)
-    assert traj.records[-1].blowup
-    assert not any(r.blowup for r in traj.records[:-1])
+    assert traj.blowup
+    assert _csv_blowup_column(traj, tmp_path) == ["0"] * (len(traj.records) - 1) + ["1"]
     assert np.all(np.isfinite(traj.final.values.view(float)))
     assert traj.times[-1] < 1.0
 
@@ -165,7 +171,7 @@ def test_adaptive_budget_truncates_supercritical_collapse():
     assert traj.records[-1].h1_seminorm > 10 * traj.records[0].h1_seminorm
 
 
-def test_growth_cap_truncates_with_one_flagged_last_record(monkeypatch):
+def test_growth_cap_truncates_with_one_flagged_last_record(monkeypatch, tmp_path):
     # the collapse datum above more than doubles its sup norm well before T
     monkeypatch.setattr(evolve, "_AMPLITUDE_CAP", 2.0)
     g = Grid(60.0, 512)
@@ -173,8 +179,9 @@ def test_growth_cap_truncates_with_one_flagged_last_record(monkeypatch):
     hot = phi.with_values(3.0 * phi.values)
     traj = integrate(hot, SchemeConfig(dt=1e-3, T=0.2, adaptive=True), Params(3.0, 1.0, 0.0),
                      sample_every=10)
-    flagged = [i for i, r in enumerate(traj.records) if r.blowup]
-    assert flagged == [len(traj.records) - 1]
+    assert traj.blowup
+    flags = _csv_blowup_column(traj, tmp_path)
+    assert [i for i, flag in enumerate(flags) if flag == "1"] == [len(traj.records) - 1]
     assert traj.records[-1].t == traj.times[-1] < 0.2
     assert len(traj.fields) == len(traj.records)
 
@@ -184,7 +191,7 @@ def test_adaptive_cap_of_an_amplitude_whose_power_overflows():
     g = Grid(60.0, 256)
     u = Field(g, 1e100 * np.exp(-(g.x**2)))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the first record's powers overflow
+        warnings.simplefilter("error", RuntimeWarning)  # the first record's powers overflow silently
         traj = integrate(u, SchemeConfig(dt=1e-3, T=0.01, adaptive=True), Params(2.0, 1.0, 0.0))
     assert isinstance(traj, evolve.Trajectory)
     assert traj.blowup and traj.times == [0.0]
@@ -289,10 +296,10 @@ def test_diagnostics_record_integrates_the_field_once(monkeypatch):
     vh = np.fft.fft(u.values)
     ux = np.fft.ifft(g.ik_first * vh)
     calls = count_ffts(monkeypatch)
-    rec = evolve._diagnostics(u.values, ux, g.dx, 0.0, diag_p, False)
+    rec = evolve._diagnostics(u.values, ux, g.dx, 0.0, diag_p)
     assert calls[0] == 0
     # the shifted seminorm from the moments against its spectrum, ||(k - c/2) u^||
-    shifted = math.sqrt(g.dx / g.N * float(np.sum(np.abs((g.k_first - 1.0) * vh) ** 2)))
+    shifted = math.sqrt(g.dx / g.N * float(np.sum(np.abs((g.ik_first - 1j) * vh) ** 2)))
     assert rec.shifted_h1 == pytest.approx(shifted, rel=1e-12)
     assert rec.action == pytest.approx(action_S(u, diag_p), rel=1e-12)
 
@@ -320,7 +327,7 @@ def test_advance_makes_twelve_transforms_in_eight_calls_and_a_record_none(monkey
     stepper.set_dt(2e-3)
     assert stepper.advance()
     assert calls == [8, 12]
-    evolve._diagnostics(stepper.u, stepper.ux, g.dx, 2e-3, p, False)
+    evolve._diagnostics(stepper.u, stepper.ux, g.dx, 2e-3, p)
     assert calls == [8, 12]
 
 

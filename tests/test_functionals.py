@@ -61,7 +61,7 @@ def _direct(u, p):
     """Energy, action and virial from their array formulas."""
     s, a, b, c = p.sigma, p.alpha, p.beta, p.c
     v = u.values
-    du = np.fft.ifft(1j * u.grid.k_first * np.fft.fft(v))
+    du = np.fft.ifft(u.grid.ik_first * np.fft.fft(v))
     dx = u.grid.dx
     grad_sq = dx * np.sum(np.abs(du) ** 2)
     m = dx * np.sum(np.abs(v) ** 2)

@@ -49,7 +49,6 @@ def test_spec_validation_and_phase_wrap():
 def test_amplitude_peak_cosh_branch():
     g = Grid(60.0, 2048)
     f = profile_Phi(SolitonSpec(1.0, 1.0, 0.0), g)
-    assert not f.slow_decay
     assert f.values[g.N // 2].real == pytest.approx(2.0, rel=1e-14)
 
 
@@ -58,8 +57,19 @@ def test_amplitude_peak_massless_branch_warns_on_small_box():
     g = Grid(60.0, 2048)
     with pytest.warns(BoundaryProximity):
         f = profile_Phi(SolitonSpec(1.0, 0.25, 1.0), g)
-    assert f.slow_decay
     assert f.values[g.N // 2].real == pytest.approx(2.0, rel=1e-14)
+
+
+def test_edge_tolerance_follows_the_decay_regime():
+    # the algebraic endpoint tail may reach 1e-6 of the peak at the edge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundaryProximity)
+        slow = profile_Phi(SolitonSpec(1.0, 0.25, 1.0), Grid(4e6, 2**16))
+    assert 1e-10 < slow.boundary_fraction() < 1e-6
+    # the exponential cosh tail may reach only 1e-10
+    with pytest.warns(BoundaryProximity, match="exceeds 1e-10"):
+        fast = profile_Phi(SolitonSpec(1.0, 1.0, 0.0), Grid(40.0, 1024))
+    assert 1e-10 < fast.boundary_fraction() < 1e-6
 
 
 def test_elliptic_residual_small_across_sigma():
