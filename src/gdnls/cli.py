@@ -1,8 +1,8 @@
 """Command-line interface: subcommands over the library with reproducible outputs.
 
 Configuration is one JSON document; any key can be overridden on the command
-line with --section.key value pairs (values parsed as JSON, bare words as
-strings).  Every run writes a manifest next to its outputs with the resolved
+line with --section.key value pairs, and every value must have the kind of its
+default (see _checked).  Every run writes a manifest next to its outputs with the resolved
 config, wall clock, metrics, and per-check pass/fail, so a run can be replayed
 and audited.  Exit codes: 0 all checks passed, 1 a check failed, 2 bad config or
 input, 3 an unexpected error (a program bug; its traceback is printed).
@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import (Field, Grid, Params, load_field, modulate, require_admissible, require_finite,
                    save_field)
-from .criterion import Certificate, SearchConfig, certify_global, corollary15_data, membership
+from .criterion import Certificate, SearchConfig, certify_global, membership
 from .errors import GdnlsError, IncompatibleModulation
 from .evolve import SchemeConfig, integrate, write_trajectory_csv
 from .functionals import action_S, energy, gn1_ratio, identity_suite, mass, momentum
@@ -66,8 +66,7 @@ DEFAULTS: dict = {
         "width": 1.0,
         "x0": 0.0,
         "mass_pi": None,  # rescale so total mass = mass_pi * pi
-        "boost": 0.0,  # plane-wave factor e^(i*boost*x); must be box-periodic
-        "speed": 0.0,  # modulation speed for the modulated family
+        "speed": 0.0,  # plane-wave factor e^(i*speed*x/2); must be box-periodic
         "file": None,
     },
     "minimize": {"grad_tol": 1e-5},
@@ -76,8 +75,42 @@ DEFAULTS: dict = {
 }
 
 
-def _overlay(base: dict, over, path: str = "") -> dict:
-    """A copy of base with over laid on top; a key base lacks is an error, a section recurses."""
+# the kind of each key whose default is null; these keys also take null
+_NULLABLE = {"data.mass_pi": 0.0, "data.file": ""}
+
+
+def _checked(where: str, base, val, token: bool):
+    """val as the kind of base, the value it replaces, or a ConfigError naming the key.
+
+    A float key takes a number, a count (an int default) a whole number >= 1, a switch a
+    boolean, zroot.sigmas a non-empty list of numbers, a string key text.  A command-line
+    token is read as JSON, except for a string key, which takes the token as it is.
+    """
+    kind = _NULLABLE.get(where, base)
+    if token and isinstance(val, str) and not isinstance(kind, str):
+        with contextlib.suppress(ValueError):  # a bare word stays text
+            val = json.loads(val)
+    if val is None and where in _NULLABLE:
+        return None
+    # a float, or an int (not a bool) that converts to one without overflow
+    number = lambda v: isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max
+    if isinstance(kind, bool):
+        ok, want = isinstance(val, bool), "true or false"
+    elif isinstance(kind, str):
+        ok, want = isinstance(val, str), "text"
+    elif isinstance(kind, int):
+        ok, want = number(val) and val >= 1 and val % 1 == 0, "a whole number of at least 1"
+    elif isinstance(kind, float):
+        ok, want = number(val), "a number"
+    else:  # zroot.sigmas
+        ok, want = isinstance(val, list) and val and all(map(number, val)), "a non-empty list of numbers"
+    if not ok:
+        raise ConfigError(f"{where} must be {want}, got {val!r}")
+    return [float(v) for v in val] if isinstance(kind, list) else type(kind)(val)
+
+
+def _overlay(base: dict, over, token: bool, path: str = "") -> dict:
+    """A copy of base with over laid on top, each value checked by _checked; a key base lacks is an error."""
     if not isinstance(over, dict):
         raise ConfigError(f"expected an object at {path or 'top level'}")
     out = copy.deepcopy(base)
@@ -85,30 +118,24 @@ def _overlay(base: dict, over, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        out[key] = _overlay(base[key], val, where) if isinstance(base[key], dict) else val
+        out[key] = (_overlay(base[key], val, token, where) if isinstance(base[key], dict)
+                    else _checked(where, base[key], val, token))
     return out
 
 
 def _parse_overrides(tokens: list[str]) -> dict:
+    """--section.key value pairs as a nested dict of the raw value tokens."""
     cfg: dict = {}
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if not tok.startswith("--"):
-            raise ConfigError(f"expected --key, got {tok!r}")
-        if i + 1 >= len(tokens):
-            raise ConfigError(f"missing value for {tok!r}")
-        raw = tokens[i + 1]
-        try:
-            val = json.loads(raw)
-        except json.JSONDecodeError:
-            val = raw
+    for i in range(0, len(tokens), 2):
+        if not tokens[i].startswith("--"):
+            raise ConfigError(f"expected --key, got {tokens[i]!r}")
+        if i + 1 == len(tokens):
+            raise ConfigError(f"missing value for {tokens[i]!r}")
+        *parents, leaf = tokens[i][2:].split(".")
         node = cfg
-        *parents, leaf = tok[2:].split(".")
         for part in parents:
             node = node.setdefault(part, {})
-        node[leaf] = val
-        i += 2
+        node[leaf] = tokens[i + 1]
     return cfg
 
 
@@ -122,11 +149,7 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"cannot read config {config_path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {config_path!r} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-    resolved = _overlay(_overlay(DEFAULTS, cfg), _parse_overrides(overrides))
-    env_out = os.environ.get("GDNLS_OUT")
-    if env_out:
-        resolved["out"] = env_out
-    return resolved
+    return _overlay(_overlay(DEFAULTS, cfg, False), _parse_overrides(overrides), True)
 
 
 @contextlib.contextmanager
@@ -139,40 +162,21 @@ def _config_input():
 
 
 @_config_input()
-def _count(value, key: str) -> int:
-    """A whole number of at least 1; a fraction is refused, not truncated."""
-    n = float(value)
-    if not (n.is_integer() and n >= 1):
-        raise ValueError(f"{key} must be a whole number of at least 1, got {value!r}")
-    return int(n)
-
-
-@_config_input()
 def _grid(cfg: dict) -> Grid:
-    return Grid(float(cfg["grid"]["L"]), _count(cfg["grid"]["N"], "grid.N"))
+    return Grid(**cfg["grid"])
 
 
 @_config_input()
 def _params(cfg: dict) -> Params:
-    p = cfg["params"]
-    out = Params(float(p["sigma"]), float(p["omega"]), float(p["c"]),
-                 float(p["alpha"]), float(p["beta"]))
+    out = Params(**cfg["params"])
     require_admissible(out.sigma, out.omega, out.c)
     return out
 
 
 @_config_input()
-def _scheme(cfg: dict) -> SchemeConfig:
-    s = cfg["scheme"]
-    if not isinstance(s["adaptive"], bool):  # bool("no") would be True
-        raise ValueError(f"scheme.adaptive must be true or false, got {s['adaptive']!r}")
-    return SchemeConfig(dt=float(s["dt"]), T=float(s["T"]), adaptive=s["adaptive"])
-
-
-@_config_input()
 def _soliton_spec(cfg: dict) -> SolitonSpec:
     p = cfg["params"]
-    return SolitonSpec(float(p["sigma"]), float(p["omega"]), float(p["c"]), x0=float(cfg["data"]["x0"]))
+    return SolitonSpec(p["sigma"], p["omega"], p["c"], x0=cfg["data"]["x0"])
 
 
 @_config_input()
@@ -183,31 +187,29 @@ def _initial_data(cfg: dict, grid: Grid) -> Field:
         if not d["file"]:
             raise ConfigError("data.family 'file' needs data.file")
         try:
-            return load_field(d["file"])
+            u = load_field(d["file"])
         except (OSError, KeyError) as exc:
-            raise ConfigError(f"cannot read field file {d['file']!r}: {exc!r}") from exc
+            raise ConfigError(f"cannot read data.file {d['file']!r}: {exc!r}") from exc
+        if u.grid != grid:
+            raise ConfigError(f"field file {d['file']!r} is on L={u.grid.L}, N={u.grid.N}: set grid.L and grid.N")
+        return u
     if family == "soliton":
         return profile_phi(_soliton_spec(cfg), grid)
     if family not in ("gaussian", "modulated"):
         raise ConfigError(f"unknown data.family {d['family']!r}")
     x = grid.x
     with np.errstate(divide="ignore", invalid="ignore"):  # width 0: require_finite reports it
-        vals = float(d["amplitude"]) * np.exp(-(((x - float(d["x0"])) / float(d["width"])) ** 2))
+        vals = d["amplitude"] * np.exp(-(((x - d["x0"]) / d["width"]) ** 2))
     u = Field(grid, vals)
-    if boost := float(d["boost"]):
+    if d["speed"]:
         try:
-            u = modulate(u, 2 * boost)
+            u = modulate(u, d["speed"])
         except IncompatibleModulation as exc:
-            raise ConfigError(f"data.boost {boost} is not periodic: {exc}") from exc
+            raise ConfigError(f"data.speed {d['speed']} is not periodic: {exc}") from exc
     if d["mass_pi"] is not None:
         if not (m := mass(u)):
             raise ConfigError("data.mass_pi cannot rescale zero data")
-        u = u.with_values(u.values * math.sqrt(float(d["mass_pi"]) * math.pi / m))
-    if family == "modulated":
-        try:
-            u = corollary15_data(u, float(d["speed"]))
-        except IncompatibleModulation as exc:
-            raise ConfigError(f"data.speed {d['speed']} is not periodic: {exc}") from exc
+        u = u.with_values(u.values * math.sqrt(d["mass_pi"] * math.pi / m))
     return require_finite(u, "initial data")
 
 
@@ -218,13 +220,13 @@ class Run:
         self.command = command
         self.cfg = cfg
         self.out_dir = cfg["out"]
-        os.makedirs(self.out_dir, exist_ok=True)
         self.t0 = time.perf_counter()
         self.metrics: dict = {}
         self.checks: list[dict] = []
         self.outputs: list[str] = []
 
     def path(self, name: str) -> str:
+        os.makedirs(self.out_dir, exist_ok=True)  # at the first output: a refused run leaves none
         self.outputs.append(name)
         return os.path.join(self.out_dir, name)
 
@@ -295,7 +297,8 @@ def cmd_verify(cfg: dict) -> int:
     run = Run("verify", cfg)
     grid = _grid(cfg)
     rng, modes = np.random.default_rng(0), 24  # one fixed corpus, spectra on |m| <= 24
-    n_fields = _count(cfg["verify"]["fields"], "verify.fields")
+    if grid.N < 64:  # the smallest power of two with room for 2 * modes + 1 distinct modes
+        raise ConfigError(f"verify needs grid.N >= 64 for its {2 * modes + 1}-mode corpus, got {grid.N}")
     param_pool = [
         Params(1.0, 1.0, 0.0, 1.0, 0.0),
         Params(1.0, 1.0, 1.0, 1.0, -1.0),
@@ -304,7 +307,7 @@ def cmd_verify(cfg: dict) -> int:
         Params(3.0, 1.0, 0.0, 1.0, 1.0),
     ]
     worst = 0.0
-    for i in range(n_fields):
+    for i in range(cfg["verify"]["fields"]):
         coef = np.zeros(grid.N, complex)
         idx = np.concatenate([np.arange(1, modes + 1), np.arange(grid.N - modes, grid.N)])
         coef[idx] = rng.standard_normal(2 * modes) + 1j * rng.standard_normal(2 * modes)
@@ -355,7 +358,7 @@ def cmd_minimize_mu(cfg: dict) -> int:
     run = Run("minimize-mu", cfg)
     p = _params(cfg)
     with _config_input():
-        mc = MinimizeConfig(grad_tol=float(cfg["minimize"]["grad_tol"]), grid=_grid(cfg))
+        mc = MinimizeConfig(grad_tol=cfg["minimize"]["grad_tol"], grid=_grid(cfg))
     est = estimate_mu(p, mc)
     ref = mu_reference(p)
     rel = abs(est.mu - ref) / abs(ref)
@@ -374,10 +377,10 @@ def cmd_simulate(cfg: dict) -> int:
     run = Run("simulate", cfg)
     grid = _grid(cfg)
     p = _params(cfg)
-    scheme = _scheme(cfg)
+    with _config_input():
+        scheme = SchemeConfig(**cfg["scheme"])
     u0 = _initial_data(cfg, grid)
-    every = _count(cfg["sample_every"], "sample_every")
-    traj = integrate(u0, scheme, p, sample_every=every)
+    traj = integrate(u0, scheme, p, sample_every=cfg["sample_every"])
     write_trajectory_csv(traj, run.path("trajectory.csv"))
     save_field(u0, run.path("initial_field.json"))
     save_field(traj.final, run.path("final_field.json"), t=traj.times[-1])
@@ -411,12 +414,8 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_zroot(cfg: dict) -> int:
     run = Run("zroot", cfg)
-    with _config_input():
-        sigmas = [float(s) for s in cfg["zroot"]["sigmas"]]
-        if not sigmas:
-            raise ValueError("zroot.sigmas must list at least one sigma")
     rows = []
-    for s in sigmas:
+    for s in cfg["zroot"]["sigmas"]:
         root = z0_root(s)
         resid = abs(F_sigma(root, s))
         rows.append((s, repr(root), repr(resid)))

@@ -1,5 +1,6 @@
 """End-to-end CLI runs, in process: exit codes, manifests, and the CSV files
-each subcommand promises.  GDNLS_OUT points every run at a fresh tmp dir.
+each subcommand promises.  Every run starts in a fresh tmp dir and writes
+into the default gdnls-out there.
 """
 
 import json
@@ -17,10 +18,8 @@ from helpers import best_endpoint_margin
 
 @pytest.fixture
 def outdir(tmp_path, monkeypatch):
-    d = tmp_path / "run"
-    monkeypatch.setenv("GDNLS_OUT", str(d))
     monkeypatch.chdir(tmp_path)
-    return d
+    return tmp_path / "gdnls-out"
 
 
 def _manifest(outdir):
@@ -65,13 +64,14 @@ def test_config_errors_exit_2(outdir, tmp_path):
     assert main(["soliton", "--params.omega"]) == 2  # missing value
     assert main(["soliton", str(tmp_path / "absent.json")]) == 2
     assert main(["simulate", "--data.family", "file"]) == 2
-    assert main(["simulate", "--data.boost", "0.3"]) == 2  # not box-periodic
+    assert main(["simulate", "--data.speed", "0.6"]) == 2  # not box-periodic
 
 
 def test_retired_scheme_and_descent_keys_are_unknown(outdir, capsys):
     # dealiasing, the CFL fraction and the descent step are fixed by the schemes;
     # the certificate scan is fixed, and certify reads sigma and the hint from params and data;
-    # the verify corpus, the descent's iteration cap and the root tolerances are library defaults
+    # the verify corpus, the descent's iteration cap and the root tolerances are library defaults;
+    # a boost q is data.speed 2q
     search = (("sigma", "1"), ("c_min", "1.0"), ("c_max", "2048"), ("points", "80"),
               ("strategies", '["massless-scan"]'), ("strategy_hint", "modulation"))
     for argv in (["simulate", "--scheme.dealias", "false"],
@@ -82,15 +82,22 @@ def test_retired_scheme_and_descent_keys_are_unknown(outdir, capsys):
                  ["verify", "--verify.modes", "12"],
                  ["zroot", "--zroot.z_tol", "1e-6"],
                  ["zroot", "--zroot.quad_tol", "1e-10"],
+                 ["certify", "--data.boost", "0.5"],
                  *(["certify", f"--search.{key}", val] for key, val in search)):
         assert main(argv) == 2, argv
         assert "unknown config key" in capsys.readouterr().err, argv
 
 
 def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
-    # each is reported as a config error by the helper that reads it
+    # each is reported as a config error where it enters: the config's kinds check or the reader
     no_config = tmp_path / "no.json"
     no_config.write_text(json.dumps({"scheme": {"adaptive": "no"}}))
+    text_sigma = tmp_path / "text_sigma.json"
+    text_sigma.write_text(json.dumps({"params": {"sigma": "2"}}))
+    number_out = tmp_path / "number_out.json"
+    number_out.write_text(json.dumps({"out": 5}))
+    u512 = str(tmp_path / "u512.json")
+    save_field(Field(Grid(60.0, 512), np.exp(-Grid(60.0, 512).x ** 2)), u512)
     cases = (
         ["soliton", "--params.sigma", "0.5"],
         ["soliton", "--data.x0", "left"],
@@ -131,6 +138,22 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
         (["simulate", "--sample_every", "2.5", "--grid.N", "256", "--scheme.T", "0.01"],
          "sample_every"),
         (["verify", "--verify.fields", "1.5"], "verify.fields"),
+        # each value has the kind of its default, in a config file as on the command line
+        (["certify", str(text_sigma), "--grid.N", "256"], "params.sigma"),
+        (["zroot", str(number_out)], "out"),
+        (["simulate", "--scheme.dt", "true", "--grid.N", "256", "--scheme.T", "0.01"], "scheme.dt"),
+        (["zroot", "--zroot.sigmas", "1.5"], "zroot.sigmas"),
+        (["soliton", "--grid.L.x", "5"], "grid.L"),
+        (["soliton", "--params.c", "1" + "0" * 400], "params.c"),  # an int no float holds
+        # a string key takes the token as text: a file named 2, not file descriptor 2
+        (["simulate", "--data.family", "file", "--data.file", "2", "--grid.N", "256"], "data.file"),
+        # the fixed 24-mode corpus needs 49 distinct modes
+        (["verify", "--grid.N", "16"], "grid.N"),
+        (["verify", "--grid.N", "32"], "grid.N"),
+        # a field file on another grid: the run would use its grid, the manifest the config's
+        (["simulate", "--data.family", "file", "--data.file", u512, "--grid.N", "1024"], "grid.N"),
+        (["certify", "--data.family", "file", "--data.file", u512, "--grid.N", "512",
+          "--grid.L", "20"], "grid.L"),
         # a modulation speed must be box-periodic
         (["certify", "--data.family", "modulated", "--data.speed", "0.3", "--grid.N", "256"],
          "data.speed"),
@@ -142,6 +165,7 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
         assert key is None or key in err, err
         if argv[:2] == ["minimize-mu", "--params.alpha"]:
             assert "BadExponents" in err and "finite" in err, err
+    assert not outdir.exists()  # a refused run makes no output directory
 
 
 def test_unexpected_error_exits_3_with_traceback(outdir, monkeypatch, capsys):
@@ -195,9 +219,9 @@ def test_certify_integer_sigma_writes_a_float(outdir):
 
 
 def test_certify_boosted_data_negative_momentum(outdir):
-    q = 2 * math.pi * 5 / 60.0
+    q = 2 * math.pi * 5 / 60.0  # the boost e^(iqx) is the modulation at speed 2q
     code = main(["certify", "--grid.N", "1024",
-                 "--data.mass_pi", "4.0", "--data.boost", repr(q)])
+                 "--data.mass_pi", "4.0", "--data.speed", repr(2 * q)])
     assert code == 0
     doc = json.loads((outdir / "certificate.json").read_text())
     assert doc["strategy"] == "negative-momentum"
@@ -244,8 +268,7 @@ def test_minimize_mu_ground_state(outdir):
     assert row[4] == "1"  # converged
 
 
-def test_minimize_mu_default_grid_converges(tmp_path, monkeypatch):
-    monkeypatch.delenv("GDNLS_OUT", raising=False)
+def test_minimize_mu_default_grid_converges(tmp_path):
     out = tmp_path / "mu"
     assert main(["minimize-mu", "--out", str(out)]) == 0
     man = _manifest(out)
@@ -382,7 +405,7 @@ def test_simulate_rejects_non_finite_scheme_and_grid(outdir, capsys):
     for key, what in (("--scheme.dt", "dt"), ("--scheme.T", "T"), ("--grid.L", "box length")):
         assert main(["simulate", key, "Infinity", "--grid.N", "512"]) == 2
         assert f"{what} must be positive and finite" in capsys.readouterr().err
-    assert not (outdir / "manifest.json").exists()
+    assert not outdir.exists()  # a refused run makes no output directory
 
 
 def test_zroot_single_sigma(outdir):
@@ -395,11 +418,15 @@ def test_zroot_single_sigma(outdir):
     assert float(absf) < 1e-6
 
 
-def test_environment_overrides_config_out(outdir, tmp_path):
+def test_config_out_is_where_the_run_writes(outdir, tmp_path):
+    elsewhere = tmp_path / "elsewhere"
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"out": str(tmp_path / "elsewhere"), "zroot": {"sigmas": [1.5]}}))
+    cfg.write_text(json.dumps({"out": str(elsewhere), "zroot": {"sigmas": [1.5]}}))
     assert main(["zroot", str(cfg)]) == 0
-    assert (outdir / "manifest.json").exists()
-    assert not (tmp_path / "elsewhere").exists()
+    assert not outdir.exists()
     # and the manifest records the resolved value
-    assert _manifest(outdir)["config"]["out"] == str(outdir)
+    assert _manifest(elsewhere)["config"]["out"] == str(elsewhere)
+    # a command-line out is text, even when it reads as a number
+    assert main(["zroot", "--out", "5", "--zroot.sigmas", "[1.5]"]) == 0
+    assert _manifest(tmp_path / "5")["config"]["out"] == "5"
+
