@@ -133,8 +133,11 @@ def _parse_overrides(tokens: list[str]) -> dict:
             raise ConfigError(f"missing value for {tokens[i]!r}")
         *parents, leaf = tokens[i][2:].split(".")
         node = cfg
-        for part in parents:
+        for depth, part in enumerate(parents):
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                section = ".".join(parents[: depth + 1])
+                raise ConfigError(f"{tokens[i]!r} sets a key of {section!r}, which was given a value")
         node[leaf] = tokens[i + 1]
     return cfg
 
@@ -183,6 +186,10 @@ def _soliton_spec(cfg: dict) -> SolitonSpec:
 def _initial_data(cfg: dict, grid: Grid) -> Field:
     d = cfg["data"]
     family = d["family"]
+    if family in ("file", "soliton"):
+        for key in ("mass_pi", "speed"):
+            if d[key] != DEFAULTS["data"][key]:
+                raise ConfigError(f"data.{key} does not apply to data.family {family!r}")
     if family == "file":
         if not d["file"]:
             raise ConfigError("data.family 'file' needs data.file")

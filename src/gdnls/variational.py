@@ -203,7 +203,7 @@ def mu_reference(p: Params) -> float:
     and Pot = ||Phi||_{2s+2}^{2s+2}.  Inside the region Phi^(2s) = a/(cosh(s r y) - z)
     with r = sqrt(4 omega - c^2), z = c/(2 sqrt(omega)), a = (s+1) r^2/(2 sqrt(omega)),
     so M = a^(1/s) h J_{1/s}(z) and Pot = a^(1+1/s) h J_{1+1/s}(z) with h = 2/(s r),
-    where J_nu is in closed form (waves.J_nu).
+    where J_nu sums a Gauss hypergeometric series (waves.J_nu).
     At the endpoint the first term is 0 and Pot is one Beta function, giving
     mu = (2s+2)^(1/s-1) c^(1+1/s) B(1/2, 1/2+1/s), which is also ||Phi'||^2.
     sigma = 1 keeps the closed forms.

@@ -10,9 +10,8 @@ complex wave attaches the phase c*x/2 - (2s+2)^{-1} * int_0^x Phi^(2s), which
 has a closed form on both branches.
 
 The profile integrals J_nu behind the sigma != 1 level and F_sigma are one
-Gauss hypergeometric function each.  scipy is imported on first use, by J_nu
-(scipy.special.hyp2f1) and z0_root (brentq) alone, so sigma = 1 levels,
-certificates and flows never load it.
+Gauss hypergeometric function each, summed here from its own series (see J_nu),
+and z0_root bisects F_sigma, so no run loads scipy.
 """
 
 from __future__ import annotations
@@ -179,27 +178,74 @@ def closed_form_invariants(omega: float, c: float) -> ClosedFormInvariants:
     return ClosedFormInvariants(mass, momentum, energy, action)
 
 
+def _series(a: float, c: float, x: float) -> float:
+    """2F1(a, a; c; x) = sum_n (a)_n^2 / ((c)_n n!) x^n for 0 <= x <= 1/2, to roundoff.
+
+    Once c + n >= 1 the term ratio is close to x (below x when c > 2a - 1), so the
+    sum stops when the geometric tail bound |term| x / (1 - x) is below 2^-53 of it.
+    """
+    t = s = 1.0
+    tol = (2.0**-53 * (1 - x) / x) ** 2 if x else 0.0
+    u, v, n = a, c, 1.0  # a + n - 1, c + n - 1 and n at term n
+    while v < 1 or t * t > tol * s * s:
+        t *= u * u * x / (v * n)
+        s += t
+        u, v, n = u + 1.0, v + 1.0, n + 1.0
+    return s
+
+
 def J_nu(nu: float, z: float) -> float:
-    """J_nu(z) = int_0^inf (cosh y - z)^(-nu) dy for nu > 0 and -1 < z < 1, in closed form.
+    """J_nu(z) = int_0^inf (cosh y - z)^(-nu) dy for nu > 0 and -1 < z < 1, from Gauss series.
 
     Euler's integral and Pfaff's transformation (DLMF 15.6.1, 15.8.1) give
-
         J_nu(z) = (1 - z)^(1/2 - nu) B(1/2, nu) / sqrt(2) 2F1(1/2, 1/2; nu + 1/2; (1 + z)/2),
+    summed by one of three series, each of ratio at most 1/4: for |z| <= 1/2 the Taylor
+    series in z, whose coefficients int_0^inf cosh^(-nu-k) are B((nu + k)/2, 1/2)/2, in its
+    even and odd parts; for z < -1/2 the series in x = (1 + z)/2; for z > 1/2 the connection
+    to y = 1 - x (DLMF 15.8.4), with y = (1 - z)/2 taken from z, as a series times the
+    singular power (2y)^(1/2 - nu) plus a regular one or, when nu - 1/2 is an integer m
+    (sigma = 2 has m = 0 and 1), the logarithmic case (A&S 15.3.10-11).
 
-    which needs no tolerance.  The relative error stays near roundoff except
-    as z -> 1, where the rounding of x = (1 + z)/2 carries into the
-    (1 - x)^(nu - 1/2) part of 2F1: about 2e-11 at z = 1 - 1e-6 and nu = 1/3,
-    less for larger nu.
+    The relative error is a few 2^-53, also as z -> 1 (below 1e-15 against a quadrature at
+    z = 1 - 1e-6), except in the last branch near nu = 1/2 + m, where the two connection
+    terms cancel: below 2^-50 / |nu - 1/2 - m| (4.5e-10 at nu = 1/2 + 1e-6).
     """
     if not -1 < z < 1:
         raise ValueError(f"z must lie in (-1, 1), got {z}")
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
-    from scipy.special import hyp2f1
-
-    beta = math.gamma(0.5) * math.gamma(nu) / math.gamma(nu + 0.5)
-    f = float(hyp2f1(0.5, 0.5, nu + 0.5, (1 + z) / 2))
-    return (1 - z) ** (0.5 - nu) * beta / math.sqrt(2) * f
+    rpi = math.sqrt(math.pi)
+    if abs(z) <= 0.5:
+        g0, g1 = math.gamma(nu / 2), math.gamma((nu + 1) / 2)
+        return (rpi / 2 * g0 / g1 * _series(nu / 2, 0.5, z * z)
+                + rpi * g1 / g0 * z * _series((nu + 1) / 2, 1.5, z * z))
+    g = math.gamma(nu)
+    if z < 0:
+        beta = rpi * g / math.gamma(nu + 0.5)
+        return (1 - z) ** (0.5 - nu) * beta / math.sqrt(2) * _series(0.5, nu + 0.5, (1 + z) / 2)
+    y, d = (1 - z) / 2, nu - 0.5
+    if d != int(d):
+        return (rpi * math.gamma(d) / g * (2 * y) ** -d * _series(0.5, 1 - d, y)
+                + g * math.gamma(-d) / (rpi * 2**d) * _series(nu, 1 + d, y)) / math.sqrt(2)
+    m = int(d)
+    # the finite part, sum_{n < m} (1/2)_n^2 / ((1 - m)_n n!) y^n, which m = 0 lacks
+    head, t = float(m > 0), 1.0
+    for n in range(1, m):
+        t *= (n - 0.5) ** 2 / ((n - m) * n) * y
+        head += t
+    head = rpi * math.gamma(m) / g / (2 * y) ** m * head if m else 0.0
+    # the log series: (nu)_n^2 / ((m + 1)_n n!) y^n times e_n = ln y - psi(n + 1) - psi(n + m + 1)
+    # + 2 psi(n + m + 1/2), monotone from e_0 to ln y, so max(|e_0|, |ln y|) bounds the tail's
+    e = math.log(y / 16) + sum(4 / (2 * k - 1) - 1 / k for k in range(1, m + 1))
+    big, b, s, n = max(abs(e), -math.log(y)), 1.0, 0.0, 0
+    while True:
+        s += b * e
+        if b * big * y <= 2.0**-53 * abs(s) * (1 - y):
+            break
+        b *= (n + nu) ** 2 / ((n + 1 + m) * (n + 1)) * y
+        e += 2 / (n + m + 0.5) - 1 / (n + 1) - 1 / (n + m + 1)
+        n += 1
+    return (head - (-1) ** m * g / (rpi * 2**m * math.factorial(m)) * s) / math.sqrt(2)
 
 
 def F_sigma(z: float, sigma: float) -> float:
@@ -212,7 +258,7 @@ def F_sigma(z: float, sigma: float) -> float:
 
     and z cosh y - 1 = z (cosh y - z) + z^2 - 1 gives
     I2 = z J_{1/sigma}(z) + (z^2 - 1) J_{1+1/sigma}(z), so both come from the
-    closed forms behind mu_reference.  For sigma = 1 the first term vanishes and
+    J_nu behind mu_reference.  For sigma = 1 the first term vanishes and
     I2 = -1 exactly (the integrand is the derivative of -sinh y / (cosh y - z)).
     """
     if not 1 <= sigma <= 2:
@@ -224,15 +270,21 @@ def F_sigma(z: float, sigma: float) -> float:
 
 
 def z0_root(sigma: float) -> float:
-    """Unique zero of F_sigma on (-1, 1): a 41-point bracket scan, then brentq to xtol 5e-9."""
+    """Unique zero of F_sigma on (-1, 1): a 41-point bracket scan, then bisection to
+    xtol 5e-9, the midpoint of a bracket no wider than 1e-8."""
     if not 1 < sigma < 2:
         raise SigmaUnsupported(f"z0_root requires 1 < sigma < 2, got {sigma}")
     eps = 1e-3
-    zs = np.linspace(-1 + eps, 1 - eps, 41)
-    fs = [F_sigma(float(z), sigma) for z in zs]
+    zs = np.linspace(-1 + eps, 1 - eps, 41).tolist()
+    fs = [F_sigma(z, sigma) for z in zs]
     for i in range(len(zs) - 1):
         if fs[i] * fs[i + 1] <= 0:
-            from scipy.optimize import brentq
-
-            return brentq(F_sigma, zs[i], zs[i + 1], args=(sigma,), xtol=5e-9)
+            lo, hi, f_lo = zs[i], zs[i + 1], fs[i]
+            while hi - lo > 1e-8:
+                mid = (lo + hi) / 2
+                if f_lo * (f_mid := F_sigma(mid, sigma)) <= 0:
+                    hi = mid
+                else:
+                    lo, f_lo = mid, f_mid
+            return (lo + hi) / 2
     raise NoBracket(f"no sign change of F_sigma on [{zs[0]:.3f}, {zs[-1]:.3f}]")

@@ -98,6 +98,7 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
     number_out.write_text(json.dumps({"out": 5}))
     u512 = str(tmp_path / "u512.json")
     save_field(Field(Grid(60.0, 512), np.exp(-Grid(60.0, 512).x ** 2)), u512)
+    periodic = repr(4 * math.pi / 60.0)  # a box-periodic speed on the default L = 60
     cases = (
         ["soliton", "--params.sigma", "0.5"],
         ["soliton", "--data.x0", "left"],
@@ -157,6 +158,17 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
         # a modulation speed must be box-periodic
         (["certify", "--data.family", "modulated", "--data.speed", "0.3", "--grid.N", "256"],
          "data.speed"),
+        # a section given a value, then one of its keys
+        (["zroot", "--zroot", "5", "--zroot.sigmas", "[1.5]"], "zroot"),
+        # a soliton or a field file is taken as it is: a rescale or a boost would be ignored
+        (["certify", "--data.family", "soliton", "--data.mass_pi", "3", "--grid.N", "1024"],
+         "data.mass_pi"),
+        (["simulate", "--data.family", "soliton", "--data.speed", periodic, "--grid.N", "512"],
+         "data.speed"),
+        (["simulate", "--data.family", "file", "--data.file", u512, "--grid.N", "512",
+          "--data.mass_pi", "3"], "data.mass_pi"),
+        (["certify", "--data.family", "file", "--data.file", u512, "--grid.N", "512",
+          "--data.speed", periodic], "data.speed"),
     )
     for argv, key in [(argv, None) for argv in cases] + list(keyed):
         assert main(argv) == 2, argv

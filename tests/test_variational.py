@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import beta
+from scipy.special import beta, hyp2f1
 
 from gdnls import (
     Field,
@@ -201,6 +201,28 @@ def test_mu_reference_continuity_toward_endpoint():
                 for d in (1e-5, 1e-6, 1e-7)]
         assert gaps[0] > gaps[1] > gaps[2], sigma
         assert gaps[2] < 1e-5, sigma
+
+
+def _mu_by_hyp2f1(p):
+    """mu_reference's interior formula with each J_nu from scipy's 2F1 (see its docstring)."""
+    s, w, c = p.sigma, p.omega, p.c
+    r2, q = 4 * w - c * c, 2 * math.sqrt(w)
+    a, h, z = (s + 1) * r2 / q, 2 / (s * math.sqrt(r2)), c / q
+
+    def J(nu):
+        f = float(hyp2f1(0.5, 0.5, nu + 0.5, (1 + z) / 2))
+        return (1 - z) ** (0.5 - nu) * beta(0.5, nu) / math.sqrt(2) * f
+
+    mass, pot = a ** (1 / s) * h * J(1 / s), a ** (1 + 1 / s) * h * J(1 + 1 / s)
+    return s / (s + 1) * (r2 / 4 * mass + c * pot / (4 * s + 4))
+
+
+@pytest.mark.parametrize("sigma", [1.2, 1.5, 2.0, 3.0])
+def test_mu_reference_interior_matches_scipy_hyp2f1(sigma):
+    # z = c/(2 sqrt(omega)) from -0.9 to 0.9 reaches every branch of J_nu
+    for w, c in ((1.0, -1.8), (1.0, -1.0), (1.0, 0.0), (0.9, 0.5), (1.0, 1.2), (4.0, 3.6)):
+        p = Params(sigma, w, c)
+        assert mu_reference(p) == pytest.approx(_mu_by_hyp2f1(p), rel=1e-13), (w, c)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0, 3.0])

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from gdnls import (
     BoundaryProximity,
@@ -223,10 +224,34 @@ def _J_nu_by_quadrature(nu, z):
 
 
 def test_J_nu_matches_an_independent_quadrature():
-    # worst is about 2e-11, at z = 1 - 1e-6 and nu = 1/3 (see the J_nu docstring)
+    # y = (1 - z)/2 is exact near z = 1, so the error stays at roundoff there
+    # (worst 7.8e-16); the closed form through (1 + z)/2 lost 2e-11 at z = 1 - 1e-6
     for nu in (1 / 3, 1 / 2, 2 / 3, 1.0, 4 / 3, 3 / 2, 2.0):
         for z in (-0.99, -0.5, 0.0, 0.5, 0.9, 0.999, 1 - 1e-6):
-            assert J_nu(nu, z) == pytest.approx(_J_nu_by_quadrature(nu, z), rel=1e-10), (nu, z)
+            assert J_nu(nu, z) == pytest.approx(_J_nu_by_quadrature(nu, z), rel=4e-15), (nu, z)
+
+
+def _J_nu_by_hyp2f1(nu, z):
+    """The closed form J_nu = (1 - z)^(1/2 - nu) B(1/2, nu) / sqrt(2) 2F1(1/2, 1/2; nu + 1/2; (1 + z)/2)
+    with scipy's 2F1."""
+    beta = math.gamma(0.5) * math.gamma(nu) / math.gamma(nu + 0.5)
+    return (1 - z) ** (0.5 - nu) * beta / math.sqrt(2) * float(hyp2f1(0.5, 0.5, nu + 0.5, (1 + z) / 2))
+
+
+def test_J_nu_matches_scipy_hyp2f1():
+    # every branch: the series in z, in x = (1 + z)/2 and in y = (1 - z)/2, the last
+    # with its logarithmic case at nu = 1/2 and 3/2
+    for nu in (1 / 3, 1 / 2, 2 / 3, 1.0, 4 / 3, 3 / 2, 2.0):
+        for z in np.linspace(-0.99, 0.99, 199).tolist():
+            assert J_nu(nu, z) == pytest.approx(_J_nu_by_hyp2f1(nu, z), rel=1e-13), (nu, z)
+
+
+def test_J_nu_next_to_the_logarithmic_case():
+    # for z > 1/2 the two connection terms cancel near nu = 1/2 + m: the J_nu
+    # docstring bounds the relative error by 2^-50 / |nu - 1/2 - m|
+    for nu in (0.5 - 1e-6, 0.5 + 1e-6, 1.5 - 1e-6, 1.5 + 1e-6):
+        for z in (-0.99, -0.5, 0.0, 0.5, 0.6, 0.75, 0.9, 0.999, 1 - 1e-6, 1 - 1e-8):
+            assert J_nu(nu, z) == pytest.approx(_J_nu_by_quadrature(nu, z), rel=2.0**-50 / 1e-6), (nu, z)
 
 
 def test_J_nu_domain_checks():
