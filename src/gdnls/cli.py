@@ -24,10 +24,10 @@ from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
-from .core import (Field, Grid, Params, load_field, modulate, require_admissible, require_finite,
-                   save_field)
+from .core import Field, Grid, Params, load_field, modulate, require_admissible, save_field
 from .criterion import Certificate, SearchConfig, certify_global, membership
-from .errors import GdnlsError, IncompatibleModulation
+from .errors import (BadExponents, IncompatibleModulation, NoBracket, NotAdmissible, SigmaUnsupported,
+                     ZeroField)
 from .evolve import SchemeConfig, integrate, write_trajectory_csv
 from .functionals import action_S, energy, gn1_ratio, identity_suite, mass, momentum
 from .variational import MinimizeConfig, estimate_mu, mu_reference
@@ -195,7 +195,7 @@ def _initial_data(cfg: dict, grid: Grid) -> Field:
             raise ConfigError("data.family 'file' needs data.file")
         try:
             u = load_field(d["file"])
-        except (OSError, KeyError) as exc:
+        except (OSError, KeyError, ValueError) as exc:
             raise ConfigError(f"cannot read data.file {d['file']!r}: {exc!r}") from exc
         if u.grid != grid:
             raise ConfigError(f"field file {d['file']!r} is on L={u.grid.L}, N={u.grid.N}: set grid.L and grid.N")
@@ -205,7 +205,7 @@ def _initial_data(cfg: dict, grid: Grid) -> Field:
     if family not in ("gaussian", "modulated"):
         raise ConfigError(f"unknown data.family {d['family']!r}")
     x = grid.x
-    with np.errstate(divide="ignore", invalid="ignore"):  # width 0: require_finite reports it
+    with np.errstate(divide="ignore", invalid="ignore"):  # width 0: Field refuses the NaN samples
         vals = d["amplitude"] * np.exp(-(((x - d["x0"]) / d["width"]) ** 2))
     u = Field(grid, vals)
     if d["speed"]:
@@ -217,7 +217,7 @@ def _initial_data(cfg: dict, grid: Grid) -> Field:
         if not (m := mass(u)):
             raise ConfigError("data.mass_pi cannot rescale zero data")
         u = u.with_values(u.values * math.sqrt(d["mass_pi"] * math.pi / m))
-    return require_finite(u, "initial data")
+    return u
 
 
 class Run:
@@ -423,8 +423,11 @@ def cmd_zroot(cfg: dict) -> int:
     run = Run("zroot", cfg)
     rows = []
     for s in cfg["zroot"]["sigmas"]:
-        root = z0_root(s)
-        resid = abs(F_sigma(root, s))
+        try:
+            root = z0_root(s)
+            resid = abs(F_sigma(root, s))
+        except NoBracket:  # a valid sigma whose root the bracket scan misses: a failed check
+            root = resid = math.nan
         rows.append((s, repr(root), repr(resid)))
         run.check(f"zroot_residual_sigma_{s}", resid, 1e-6, resid < 1e-6)
     _write_csv(run.path("zroot.csv"), "sigma,z0,absF", rows)
@@ -460,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GdnlsError as exc:
+    except (NotAdmissible, BadExponents, SigmaUnsupported, ZeroField) as exc:  # bad input, not a run
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception:

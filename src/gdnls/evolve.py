@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Params, require_finite, validate_params
+from .core import Field, Params, validate_params
 from .criterion import Certificate
 # action_S, energy, mass, momentum and virial_K are unused here; bench/tracer.py patches them by name
 from .functionals import action_S, energy, mass, momentum, sample_moments, virial_K  # noqa: F401
@@ -230,7 +230,6 @@ def integrate(
     validate_params(p)
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-    require_finite(u0, "initial data")
     if cert is not None and cert.params.sigma != p.sigma:
         raise ValueError(f"certificate sigma={cert.params.sigma} differs from sigma={p.sigma}")
     diag_p = cert.params if cert is not None else p

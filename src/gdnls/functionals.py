@@ -11,8 +11,8 @@ of psi, so no modulation is ever sampled on the grid.
 
 Energy, action, virial and the tilde family are scalar algebra over one
 `Moments` evaluation: one FFT pair from a field, none from samples of u and
-u_x.  Mass, momentum, nonlinear_N and identity_suite stay direct, so the
-identities compare two independent paths.
+u_x.  Mass, momentum and nonlinear_N stay direct; identity_suite compares
+direct integrands against the `Moments` algebra, both on one u_x.
 """
 
 from __future__ import annotations
@@ -188,80 +188,48 @@ class IdentityReport:
     scales: dict[str, float]
 
     def max_relative(self) -> float:
-        return max(
-            r / s if s > 0 else 0.0
-            for r, s in ((self.residuals[k], self.scales[k]) for k in self.residuals)
-        )
+        return max(self.residuals[k] / s if s > 0 else 0.0 for k, s in self.scales.items())
 
     def ok(self, tol: float = 1e-9) -> bool:
         return self.max_relative() <= tol
 
 
 def identity_suite(u: Field, p: Params) -> IdentityReport:
-    """Cross-check the shift identities and both action decompositions on one field."""
-    a, b, s = p.alpha, p.beta, p.sigma
-    c = p.c
+    """Cross-check the shift identities and both action decompositions on one field.
+
+    Each identity is a tuple of terms that sums to zero; its residual is |sum| and
+    its scale the sum of |term|.  One u_x feeds the direct integrands and `Moments`.
+    """
+    a, b, s, c = p.alpha, p.beta, p.sigma, p.c
     w = p.omega - c * c / 4
-    du = spectral_derivative(u.grid, np.fft.fft(u.values))
-    shifted = du - 0.5j * c * u.values
-    grad_sq = _l2sq(u, du)
-    shift_sq = _l2sq(u, shifted)
-    m = mass(u)
-    mom = momentum(u)
-    pot = _lpp(u, 2 * s + 2)
-    quart = _lpp(u, 4 * s + 2)
-    n = nonlinear_N(u, s)
-    n_shift = u.grid.dx * float(
-        np.sum((1j * np.abs(u.values) ** (2 * s) * np.conj(u.values) * shifted).real)
-    )
-
-    residuals: dict[str, float] = {}
-    scales: dict[str, float] = {}
-
-    # Momentum under modulation removal.
-    lhs = c * mom
-    rhs = -grad_sq - 0.25 * c * c * m + shift_sq
-    residuals["momentum_shift"] = abs(lhs - rhs)
-    scales["momentum_shift"] = abs(lhs) + grad_sq + 0.25 * c * c * m + shift_sq
-
-    # Nonlinear term under modulation removal.
-    lhs = n
-    rhs = -0.5 * c * pot + n_shift
-    residuals["nonlinear_shift"] = abs(lhs - rhs)
-    scales["nonlinear_shift"] = abs(n) + 0.5 * abs(c) * pot + abs(n_shift)
-
-    # Completed square hiding inside -N.
-    half_current = _l2sq(u, du + 0.5j * np.abs(u.values) ** (2 * s) * u.values)
-    lhs = -n
-    rhs = -grad_sq - 0.25 * quart + half_current
-    residuals["nonlinear_decomposition"] = abs(lhs - rhs)
-    scales["nonlinear_decomposition"] = abs(n) + grad_sq + 0.25 * quart + half_current
-
-    # Action split in the modulation-removed frame (field read as psi).
-    act, vir, res = tilde_functionals(u, p)
-    lhs = a * (2 * s + 2) * act
-    rhs = vir + res
-    residuals["action_split_tilde"] = abs(lhs - rhs)
-    scales["action_split_tilde"] = abs(lhs) + abs(vir) + abs(res)
-
-    # Action split in the laboratory frame.
-    lhs = a * (2 * s + 2) * action_S(u, p)
-    rhs = (
-        virial_K(u, p)
-        + 0.5 * (2 * s * a + b) * shift_sq
-        + 0.5 * (2 * s * a - b) * w * m
-        - b * c / (2 * (2 * s + 2)) * pot
-    )
-    residuals["action_split"] = abs(lhs - rhs)
-    scales["action_split"] = (
-        abs(lhs)
-        + abs(virial_K(u, p))
-        + 0.5 * abs(2 * s * a + b) * shift_sq
-        + 0.5 * abs(2 * s * a - b) * abs(w) * m
-        + abs(b * c) / (2 * (2 * s + 2)) * pot
-    )
-
-    return IdentityReport(residuals, scales)
+    v, dx = u.values, u.grid.dx
+    du = spectral_derivative(u.grid, np.fft.fft(v))
+    shifted = du - 0.5j * c * v
+    weight = np.abs(v) ** (2 * s)
+    grad_sq, shift_sq, m = _l2sq(u, du), _l2sq(u, shifted), _l2sq(u, v)
+    mom = dx * float(np.sum((1j * du * np.conj(v)).real))
+    pot, quart = _lpp(u, 2 * s + 2), _lpp(u, 4 * s + 2)
+    n = dx * float(np.sum((1j * weight * np.conj(v) * du).real))
+    n_shift = dx * float(np.sum((1j * weight * np.conj(v) * shifted).real))
+    half_current = _l2sq(u, du + 0.5j * weight * v)
+    moms = sample_moments(v, du, dx, s)
+    act, vir, res = moms.tilde(p)
+    lab = a * (2 * s + 2) * moms.action(p)
+    terms = {
+        # momentum under modulation removal
+        "momentum_shift": (c * mom, grad_sq, 0.25 * c * c * m, -shift_sq),
+        # nonlinear term under modulation removal
+        "nonlinear_shift": (n, 0.5 * c * pot, -n_shift),
+        # the completed square hiding inside -N
+        "nonlinear_decomposition": (-n, grad_sq, 0.25 * quart, -half_current),
+        # the action split in the modulation-removed frame (field read as psi)
+        "action_split_tilde": (a * (2 * s + 2) * act, -vir, -res),
+        # the action split in the laboratory frame
+        "action_split": (lab, -moms.virial(p), -0.5 * (2 * s * a + b) * shift_sq,
+                         -0.5 * (2 * s * a - b) * w * m, b * c / (2 * (2 * s + 2)) * pot),
+    }
+    return IdentityReport({k: abs(sum(t)) for k, t in terms.items()},
+                          {k: sum(map(abs, t)) for k, t in terms.items()})
 
 
 # ---------------------------------------------------------------------------

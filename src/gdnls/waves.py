@@ -65,6 +65,8 @@ class SolitonSpec:
 
     def __post_init__(self) -> None:
         require_admissible(self.sigma, self.omega, self.c)
+        if not (math.isfinite(self.x0) and math.isfinite(self.theta0)):
+            raise ValueError(f"x0 and theta0 must be finite, got {self.x0}, {self.theta0}")
         object.__setattr__(self, "theta0", self.theta0 % (2 * math.pi))
 
     @property

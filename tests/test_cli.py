@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from gdnls import Field, Grid, mass, save_field
+from gdnls import Field, Grid, NotProjectable, mass, save_field
 from gdnls import cli, criterion
 from gdnls.cli import main
 from helpers import best_endpoint_margin
@@ -158,6 +158,14 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
         # a modulation speed must be box-periodic
         (["certify", "--data.family", "modulated", "--data.speed", "0.3", "--grid.N", "256"],
          "data.speed"),
+        # so must c L / (4 pi) be finite before it can be whole
+        *((["certify", "--grid.N", "256", "--data.speed", speed], "data.speed")
+          for speed in ("Infinity", "1e308", "-Infinity", "NaN")),
+        # a soliton's centre must be finite: NaN sampled to a NaN wave and a zero amplitude
+        (["simulate", "--data.family", "soliton", "--data.x0", "NaN", "--grid.N", "256",
+          "--scheme.T", "0.01"], "x0"),
+        (["certify", "--data.family", "soliton", "--data.x0", "Infinity", "--grid.N", "256"], "x0"),
+        (["soliton", "--data.x0", "NaN"], "x0"),
         # a section given a value, then one of its keys
         (["zroot", "--zroot", "5", "--zroot.sigmas", "[1.5]"], "zroot"),
         # a soliton or a field file is taken as it is: a rescale or a boost would be ignored
@@ -225,7 +233,7 @@ def test_certify_gaussian_writes_certificate(outdir, tmp_path):
 
 
 def test_certify_integer_sigma_writes_a_float(outdir):
-    criterion._route_table.cache_clear()  # a table cached for sigma = 1.0 would hide an int
+    criterion._table.cache_clear()  # a table cached for sigma = 1.0 would hide an int
     assert main(["certify", "--grid.N", "1024", "--data.mass_pi", "3.9", "--params.sigma", "1"]) == 0
     assert '"sigma": 1.0,' in (outdir / "certificate.json").read_text()
 
@@ -401,15 +409,17 @@ def test_simulate_from_field_file(outdir, tmp_path):
 
 
 def test_simulate_rejects_non_finite_field_file(outdir, tmp_path, capsys):
+    # a Field refuses NaN samples, so the file is written directly
     g = Grid(60.0, 512)
-    vals = 0.5 * np.exp(-(g.x**2) / 2).astype(complex)
+    vals = 0.5 * np.exp(-(g.x**2) / 2)
     vals[100] = np.nan
     path = tmp_path / "u0.json"
-    save_field(Field(g, vals), str(path))
+    path.write_text(json.dumps({"L": g.L, "N": g.N, "re": vals.tolist(), "im": [0.0] * g.N}))
     code = main(["simulate", "--data.family", "file", "--data.file", str(path),
                  "--grid.N", "512", "--scheme.T", "0.1"])
     assert code == 2
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite" in err and str(path) in err
 
 
 def test_simulate_rejects_non_finite_scheme_and_grid(outdir, capsys):
@@ -428,6 +438,28 @@ def test_zroot_single_sigma(outdir):
     assert float(sigma) == 1.5
     assert float(z0) == pytest.approx(0.06183026, abs=1e-6)
     assert float(absf) < 1e-6
+
+
+def test_zroot_missed_bracket_is_a_failed_check(outdir):
+    # sigma = 1.0001 is valid, but the 41-point scan misses its root: a failed check, not bad input
+    assert main(["zroot", "--zroot.sigmas", "[1.0001, 1.5]"]) == 1
+    checks = _manifest(outdir)["checks"]
+    assert [c["passed"] for c in checks] == [False, True]
+    assert math.isnan(checks[0]["value"])
+    rows = (outdir / "zroot.csv").read_text().splitlines()
+    assert rows[1] == "1.0001,nan,nan" and rows[2].startswith("1.5,")
+
+
+def test_a_descent_that_cannot_project_exits_3(outdir, monkeypatch, capsys):
+    # NotProjectable is raised deep in a run, so it is no config error
+    def broken(*args, **kwargs):
+        raise NotProjectable("wrong-sign split")
+
+    monkeypatch.setattr(cli, "estimate_mu", broken)
+    assert main(["minimize-mu"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "NotProjectable: wrong-sign split" in err
+    assert "config error" not in err
 
 
 def test_config_out_is_where_the_run_writes(outdir, tmp_path):

@@ -56,6 +56,17 @@ def test_field_copies_input_and_is_read_only():
         Field(g, np.ones(65))
 
 
+def test_field_refuses_non_finite_samples():
+    g = Grid(60.0, 64)
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)):
+        vals = np.ones(64, complex)
+        vals[9] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Field(g, vals)
+    with pytest.raises(ValueError, match="non-finite"):
+        Field(g, np.ones(64)).with_values(np.full(64, math.inf))
+
+
 def test_with_values_keeps_the_grid():
     g = Grid(60.0, 64)
     f = Field(g, np.ones(64))
@@ -95,6 +106,11 @@ def test_modulation_requires_periodic_half_wave():
     assert np.allclose(m.values, np.exp(0.5j * 3 * unit * g.x), atol=1e-14)
     with pytest.raises(IncompatibleModulation):
         modulate(f, 1.0)
+    # c L / (4 pi) must be finite before it can be whole
+    for c in (math.inf, -math.inf, math.nan, 1e308):
+        assert not is_grid_compatible(g, c)
+        with pytest.raises(IncompatibleModulation):
+            modulate(f, c)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -75,16 +75,16 @@ def test_search_config_validation():
             SearchConfig(sigma=sigma)
     with pytest.raises(ValueError):
         SearchConfig(strategy_hint="whatever")
-    # the speed grid and the route order are fixed; only these two are settings
+    # the speed grid and the candidate order are fixed; only these two are settings
     assert tuple(f.name for f in fields(SearchConfig)) == ("sigma", "strategy_hint")
     assert type(SearchConfig(sigma=1).sigma) is float
 
 
 def test_certificate_sigma_is_a_float_in_either_call_order():
-    # the route tables are cached on sigma, where 1 and 1.0 are one key
+    # the candidate table is cached on sigma, where 1 and 1.0 are one key
     u = _gaussian_with_mass(Grid(60.0, 1024), 3.9)
     for order in ((1, 1.0), (1.0, 1)):
-        criterion._route_table.cache_clear()
+        criterion._table.cache_clear()
         for sigma in order:
             res = certify_global(u, SearchConfig(sigma=sigma))
             assert isinstance(res, Certificate) and type(res.params.sigma) is float, order
@@ -106,7 +106,7 @@ def test_certify_propagates_unexpected_validation_errors(monkeypatch):
         raise RuntimeError("validation bug")
 
     # a cached table would skip validation, so the broken validator runs on a fresh build
-    criterion._route_table.cache_clear()
+    criterion._table.cache_clear()
     u = _gaussian_with_mass(Grid(60.0, 1024), 3.0)
     with monkeypatch.context() as patched:
         patched.setattr(criterion, "validate_params", broken)
@@ -228,11 +228,11 @@ def test_certify_outcomes_pinned(build, search, expected):
 
 @pytest.mark.parametrize("build, search", [case[:2] for case in PINNED])
 def test_route_pass_is_the_scalar_rule(build, search):
-    """Walking the tables in scan order with the scalar membership gives the same outcome."""
+    """Walking the table in scan order with the scalar membership gives the same outcome."""
     u = build()
     res = certify_global(u, search)
-    scan = [p for route in criterion._ROUTES
-            for p in criterion._route_table(search.sigma, u.grid.L, route).params]
+    table = criterion._table(search.sigma, u.grid.L)
+    scan = list(table.params)
     first, best = None, None
     for i, p in enumerate(scan):
         m = membership(u, p)
@@ -244,11 +244,20 @@ def test_route_pass_is_the_scalar_rule(build, search):
             best = (margin, p, m)
     if isinstance(res, Certificate):
         assert first is not None and scan.index(res.params) == first
+        # an endpoint hit carries the hint or the endpoint tag, an interior hit "grid-search"
+        assert (first < table.endpoints) == (res.strategy != "grid-search")
     else:
         assert first is None and res.tried == len(scan)
         margin, p, m = best
         assert res.params == p
         assert (res.margin, res.action, res.level, res.virial) == (margin, m.action, m.level, m.virial)
+
+
+def test_table_counts_endpoint_candidates_as_validated():
+    # on a 1e-9 box the one speed is 4 pi 1e9; every interior offset rounds away, so the
+    # (1, -1/2) interior candidates repeat the endpoint one and (1, 0) is inadmissible
+    table = criterion._table(1.0, 1e-9)
+    assert table.endpoints == 1 and len(set(table.params)) == 1 and len(table.params) == 4
 
 
 def test_warm_route_tables_cost_no_level_work(monkeypatch):
@@ -259,7 +268,7 @@ def test_warm_route_tables_cost_no_level_work(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(criterion, "mu_reference", counted)
-    criterion._route_table.cache_clear()
+    criterion._table.cache_clear()
     ffts = count_ffts(monkeypatch)
     # the two box lengths of the benchmark's scan give different speed grids, so separate tables
     for L in (60.0, 20 * math.pi):

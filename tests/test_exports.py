@@ -34,12 +34,13 @@ EXPORTED_BEFORE = {
 # whose one caller read only gn1 (gn1_ratio and gn2_ratio stay exported on their
 # own), the Agmon ratio, which only its own tests called, and the Guo-Wu gradient
 # bound with its error, a looser duplicate of the bound invariance_check reads
-# off a negative-momentum certificate
+# off a negative-momentum certificate, and require_finite, whose check every Field
+# now makes when it is built
 RETIRED = {
     "I_functional", "gauge_to_w", "gauge_from_w", "calE", "calP", "gw_momentum_floor",
     "cumulative_integral", "first_integral_residual", "modulus_alignment_error",
     "QuadratureFailure", "Overflow", "gn_checks", "GNReport", "agmon_ratio",
-    "guo_wu_bound", "guo_wu_bound_values", "Inapplicable",
+    "guo_wu_bound", "guo_wu_bound_values", "Inapplicable", "require_finite",
 }
 
 

@@ -29,7 +29,7 @@ from gdnls import (
     tilde_functionals,
     virial_K,
 )
-from helpers import PARAM_POOL, band_limited, enveloped
+from helpers import PARAM_POOL, band_limited, count_ffts, enveloped
 
 
 def test_momentum_sign_under_boost(grid):
@@ -133,6 +133,14 @@ def test_identity_suite_randomized(grid):
         u = band_limited(grid, rng, amplitude=0.5 + 2.0 * rng.random())
         worst = max(worst, identity_suite(u, PARAM_POOL[i % len(PARAM_POOL)]).max_relative())
     assert worst < 1e-9
+
+
+def test_identity_suite_takes_one_derivative(grid, monkeypatch):
+    # both sides of every identity read one u_x: one forward and one inverse transform
+    u = band_limited(grid, np.random.default_rng(3))
+    calls = count_ffts(monkeypatch)
+    rep = identity_suite(u, PARAM_POOL[5])
+    assert calls == [2, 2] and rep.ok()
 
 
 def test_identity_suite_zero_field(grid):

@@ -43,6 +43,10 @@ def test_spec_validation_and_phase_wrap():
         SolitonSpec(1.0, 0.25, -1.0)
     with pytest.raises(ValueError):
         SolitonSpec(0.9, 1.0, 0.0)
+    # a NaN centre would sample to a NaN wave and a zero amplitude
+    for bad in ({"x0": math.nan}, {"x0": math.inf}, {"theta0": math.nan}, {"theta0": -math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            SolitonSpec(1.0, 1.0, 0.0, **bad)
     s = SolitonSpec(1.0, 1.0, 0.0, theta0=2 * math.pi + 0.3)
     assert s.theta0 == pytest.approx(0.3)
 
