@@ -82,8 +82,7 @@ def _amplitude_power(spec: SolitonSpec, y: np.ndarray) -> np.ndarray:
     root = math.sqrt(4 * w - c * c)
     with np.errstate(over="ignore"):
         den = 2 * math.sqrt(w) * np.cosh(s * root * y) - c
-    out = np.where(np.isfinite(den), (s + 1) * (4 * w - c * c) / den, 0.0)
-    return out
+    return (s + 1) * (4 * w - c * c) / den  # far out cosh overflows to inf, and the power to 0
 
 
 def _amplitude(spec: SolitonSpec, y: np.ndarray) -> np.ndarray:

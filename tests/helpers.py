@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from gdnls import Field, Params, membership
+from gdnls import Field, Params, mass, membership
 
 # Validated parameter points spanning interior/endpoint cases, both signs of
 # beta, moving and standing frames, and several nonlinearity powers.
@@ -40,6 +40,15 @@ def enveloped(grid, rng, modes=12, width=4.0, amplitude=1.0):
     vals = f.values * np.exp(-((grid.x / width) ** 2))
     vals = vals * (amplitude / np.max(np.abs(vals)))
     return Field(grid, vals)
+
+
+def gaussian_with_mass(g, mass_pi, boost=0.0):
+    """e^(-x^2), boosted by e^(i boost x) when boost is nonzero, rescaled to mass mass_pi * pi."""
+    vals = np.exp(-(g.x**2)).astype(complex)
+    if boost:
+        vals = vals * np.exp(1j * boost * g.x)
+    u = Field(g, vals)
+    return u.with_values(u.values * math.sqrt(mass_pi * math.pi / mass(u)))
 
 
 def count_ffts(monkeypatch):

@@ -27,21 +27,12 @@ from gdnls import (
     integrate,
     invariance_check,
     is_grid_compatible,
-    mass,
     membership,
     momentum,
     profile_phi,
     tilde_functionals,
 )
-from helpers import best_endpoint_margin, count_ffts
-
-
-def _gaussian_with_mass(g, mass_pi, boost=0.0):
-    vals = np.exp(-(g.x**2)).astype(complex)
-    if boost:
-        vals = vals * np.exp(1j * boost * g.x)
-    u = Field(g, vals)
-    return u.with_values(u.values * math.sqrt(mass_pi * math.pi / mass(u)))
+from helpers import best_endpoint_margin, count_ffts, gaussian_with_mass
 
 
 def test_membership_of_scaled_waves():
@@ -82,7 +73,7 @@ def test_search_config_validation():
 
 def test_certificate_sigma_is_a_float_in_either_call_order():
     # the candidate table is cached on sigma, where 1 and 1.0 are one key
-    u = _gaussian_with_mass(Grid(60.0, 1024), 3.9)
+    u = gaussian_with_mass(Grid(60.0, 1024), 3.9)
     for order in ((1, 1.0), (1.0, 1)):
         criterion._table.cache_clear()
         for sigma in order:
@@ -107,7 +98,7 @@ def test_certify_propagates_unexpected_validation_errors(monkeypatch):
 
     # a cached table would skip validation, so the broken validator runs on a fresh build
     criterion._table.cache_clear()
-    u = _gaussian_with_mass(Grid(60.0, 1024), 3.0)
+    u = gaussian_with_mass(Grid(60.0, 1024), 3.0)
     with monkeypatch.context() as patched:
         patched.setattr(criterion, "validate_params", broken)
         with pytest.raises(RuntimeError, match="validation bug"):
@@ -119,7 +110,7 @@ def test_certify_propagates_unexpected_validation_errors(monkeypatch):
 def test_certify_small_mass_scans_through():
     """Mass 3.9 pi sits under the borderline, so some endpoint speed accepts."""
     g = Grid(60.0, 1024)
-    u = _gaussian_with_mass(g, 3.9)
+    u = gaussian_with_mass(g, 3.9)
     res = certify_global(u, SearchConfig(sigma=1.0))
     assert isinstance(res, Certificate)
     assert res.strategy == "massless-scan"
@@ -134,7 +125,7 @@ def test_certify_small_mass_scans_through():
 def test_certify_borderline_mass_with_negative_momentum():
     g = Grid(60.0, 1024)
     q = 2 * math.pi * 5 / 60.0
-    u = _gaussian_with_mass(g, 4.0, boost=q)
+    u = gaussian_with_mass(g, 4.0, boost=q)
     assert momentum(u) < 0
     res = certify_global(u, SearchConfig(sigma=1.0))
     assert isinstance(res, Certificate)
@@ -200,14 +191,14 @@ def test_hint_tags_endpoint_hits_only():
 
 
 PINNED = [
-    (lambda: _gaussian_with_mass(Grid(60.0, 1024), 3.9), SearchConfig(sigma=1.0),
+    (lambda: gaussian_with_mass(Grid(60.0, 1024), 3.9), SearchConfig(sigma=1.0),
      (Params(1.0, 52.210207281762706, 14.451326206513048, 1.0, -0.5), "massless-scan")),
-    (lambda: _gaussian_with_mass(Grid(60.0, 1024), 4.0, boost=2 * math.pi * 5 / 60.0),
+    (lambda: gaussian_with_mass(Grid(60.0, 1024), 4.0, boost=2 * math.pi * 5 / 60.0),
      SearchConfig(sigma=1.0),
      (Params(1.0, 12.676958541843662, 7.120943348136864, 1.0, -0.5), "negative-momentum")),
     (_modulated_sigma2, SearchConfig(sigma=2.0, strategy_hint="modulation"),
      (Params(2.0, 17.64, 8.4, 1.0, -0.5), "modulation")),
-    (lambda: _gaussian_with_mass(Grid(60.0, 1024), 4.5), SearchConfig(sigma=1.0),
+    (lambda: gaussian_with_mass(Grid(60.0, 1024), 4.5), SearchConfig(sigma=1.0),
      (Params(1.0, 0.2741556778080377, 1.0471975511965976, 1.0, -0.5), 280)),
     (_interior_sigma2, SearchConfig(sigma=2.0),
      (Params(2.0, 2.2741556778080376, 1.0471975511965976, 1.0, 0.0), "grid-search")),
@@ -272,7 +263,7 @@ def test_warm_route_tables_cost_no_level_work(monkeypatch):
     ffts = count_ffts(monkeypatch)
     # the two box lengths of the benchmark's scan give different speed grids, so separate tables
     for L in (60.0, 20 * math.pi):
-        u = _gaussian_with_mass(Grid(L, 1024), 4.5)
+        u = gaussian_with_mass(Grid(L, 1024), 4.5)
         levels[0] = 0
         cold = certify_global(u, SearchConfig(sigma=1.0))
         assert isinstance(cold, NotFound) and levels[0] == cold.tried > 0
@@ -282,7 +273,7 @@ def test_warm_route_tables_cost_no_level_work(monkeypatch):
 
 
 def test_certify_miss_integrates_the_data_once(monkeypatch):
-    u = _gaussian_with_mass(Grid(60.0, 1024), 4.5)
+    u = gaussian_with_mass(Grid(60.0, 1024), 4.5)
     calls = count_ffts(monkeypatch)
     res = certify_global(u, SearchConfig(sigma=1.0))
     assert isinstance(res, NotFound) and res.tried == 280
@@ -294,7 +285,7 @@ def test_negative_momentum_certificate_bounds_the_flow_gradient():
     # certificate's own a priori bound on ||u_x|| holds along the flow
     g = Grid(60.0, 1024)
     q = 2 * math.pi * 5 / 60.0
-    u = _gaussian_with_mass(g, 4.0, boost=q)
+    u = gaussian_with_mass(g, 4.0, boost=q)
     cert = certify_global(u, SearchConfig(sigma=1.0))
     assert isinstance(cert, Certificate) and cert.strategy == "negative-momentum"
     traj = integrate(u, SchemeConfig(dt=1e-3, T=1.0), Params(1.0, 1.0, 0.0), cert=cert)

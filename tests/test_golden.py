@@ -17,19 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from gdnls import Field, Grid, SearchConfig, certify_global, corollary15_data, mass
+from gdnls import Field, Grid, SearchConfig, certify_global, corollary15_data
+from helpers import gaussian_with_mass
 
 GOLDEN = Path(__file__).with_name("golden.json")
 REL = 1e-12
 ROUNDED = ("action", "level", "virial", "margin")
-
-
-def _gaussian_with_mass(g, mass_pi, boost=0.0):
-    vals = np.exp(-(g.x**2)).astype(complex)
-    if boost:
-        vals = vals * np.exp(1j * boost * g.x)
-    u = Field(g, vals)
-    return u.with_values(u.values * math.sqrt(mass_pi * math.pi / mass(u)))
 
 
 def _corpus() -> dict:
@@ -40,10 +33,10 @@ def _corpus() -> dict:
     out = {}
     # small, borderline and supercritical mass on either side of Wu's 4 pi
     for m in (3.0, 3.5, 3.9, 3.99, 4.0, 4.01, 4.5, 5.0):
-        out[f"mass-{m}pi"] = (_gaussian_with_mass(g1, m), sigma1)
+        out[f"mass-{m}pi"] = (gaussian_with_mass(g1, m), sigma1)
     # borderline mass boosted by q = 2 pi k / L: k > 0 gives negative momentum
     for k in (-3, -1, 1, 3, 5, 6):
-        out[f"mass-4pi-boost-{k}"] = (_gaussian_with_mass(g1, 4.0, 2 * math.pi * k / 60.0), sigma1)
+        out[f"mass-4pi-boost-{k}"] = (gaussian_with_mass(g1, 4.0, 2 * math.pi * k / 60.0), sigma1)
     # sigma = 2 plane-wave dressed data at box-periodic speeds 0.2 m
     psi = Field(g2, (1.2 * np.exp(-(g2.x**2) / 4)).astype(complex))
     for m in (32, 64, 80):
