@@ -7,6 +7,8 @@ on a periodic box, with the machinery to decide when initial data sits in the
 flow-invariant set that guarantees a global H^1 solution.
 """
 
+__version__ = "0.1.0"  # the manifest's version; pyproject.toml repeats it
+
 # each module's __all__ (the public classes of errors) is what the package exports
 from .core import *
 from .criterion import *

@@ -20,10 +20,10 @@ import os
 import sys
 import time
 import traceback
-from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
+from . import __version__
 from .core import Field, Grid, Params, load_field, modulate, require_admissible, save_field
 from .criterion import Certificate, SearchConfig, certify_global, membership
 from .errors import (BadExponents, IncompatibleModulation, NoBracket, NotAdmissible, SigmaUnsupported,
@@ -43,11 +43,6 @@ from .waves import (
 )
 
 __all__ = ["main"]
-
-try:
-    _VERSION = version("gdnls")
-except PackageNotFoundError:
-    _VERSION = "0.0.0"
 
 
 class ConfigError(Exception):
@@ -82,9 +77,10 @@ _NULLABLE = {"data.mass_pi": 0.0, "data.file": ""}
 def _checked(where: str, base, val, token: bool):
     """val as the kind of base, the value it replaces, or a ConfigError naming the key.
 
-    A float key takes a number, a count (an int default) a whole number >= 1, a switch a
-    boolean, zroot.sigmas a non-empty list of numbers, a string key text.  A command-line
-    token is read as JSON, except for a string key, which takes the token as it is.
+    A float key takes a finite number, a count (an int default) a whole number >= 1, a switch
+    a boolean, zroot.sigmas a non-empty list of finite numbers, a string key text.  A
+    command-line token is read as JSON (NaN and Infinity included, and refused), except for
+    a string key, which takes the token as it is.
     """
     kind = _NULLABLE.get(where, base)
     if token and isinstance(val, str) and not isinstance(kind, str):
@@ -92,8 +88,9 @@ def _checked(where: str, base, val, token: bool):
             val = json.loads(val)
     if val is None and where in _NULLABLE:
         return None
-    # a float, or an int (not a bool) that converts to one without overflow
-    number = lambda v: isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max
+    # a finite float, or an int (not a bool) that converts to one without overflow
+    number = lambda v: (isinstance(v, float) and math.isfinite(v)
+                        or type(v) is int and abs(v) <= sys.float_info.max)
     if isinstance(kind, bool):
         ok, want = isinstance(val, bool), "true or false"
     elif isinstance(kind, str):
@@ -101,9 +98,10 @@ def _checked(where: str, base, val, token: bool):
     elif isinstance(kind, int):
         ok, want = number(val) and val >= 1 and val % 1 == 0, "a whole number of at least 1"
     elif isinstance(kind, float):
-        ok, want = number(val), "a number"
+        ok, want = number(val), "a finite number"
     else:  # zroot.sigmas
-        ok, want = isinstance(val, list) and val and all(map(number, val)), "a non-empty list of numbers"
+        ok = isinstance(val, list) and val and all(map(number, val))
+        want = "a non-empty list of finite numbers"
     if not ok:
         raise ConfigError(f"{where} must be {want}, got {val!r}")
     return [float(v) for v in val] if isinstance(kind, list) else type(kind)(val)
@@ -220,6 +218,11 @@ def _initial_data(cfg: dict, grid: Grid) -> Field:
     return u
 
 
+def _json_number(val):
+    """val, or None for a non-finite float, which strict JSON cannot hold."""
+    return None if isinstance(val, float) and not math.isfinite(val) else val
+
+
 class Run:
     """Collects outputs, metrics, and checks; writes the manifest atomically."""
 
@@ -242,19 +245,21 @@ class Run:
         return passed
 
     def finish(self) -> int:
+        """Write the manifest as strict JSON: a NaN or infinite metric or check value is null."""
         manifest = {
-            "version": _VERSION,
+            "version": __version__,
             "command": self.command,
             "config": self.cfg,
             "wall_clock_s": round(time.perf_counter() - self.t0, 3),
-            "metrics": self.metrics,
-            "checks": self.checks,
+            "metrics": {key: _json_number(val) for key, val in self.metrics.items()},
+            "checks": [{**c, "value": _json_number(c["value"])} for c in self.checks],
             "outputs": self.outputs,
         }
+        text = json.dumps(manifest, indent=2, allow_nan=False)  # refused before any file is opened
         final = os.path.join(self.out_dir, "manifest.json")
         tmp = f"{final}.tmp-{os.getpid()}"
         with open(tmp, "w") as fh:
-            json.dump(manifest, fh, indent=2)
+            fh.write(text)
         os.replace(tmp, final)
         return 0 if all(c["passed"] for c in self.checks) else 1
 
@@ -444,18 +449,21 @@ _COMMANDS = {
 }
 
 
+# one parser per process: main may run many times in it
+_PARSER = argparse.ArgumentParser(
+    prog="gdnls",
+    description="Solitary waves, variational levels, and certified global "
+                "evolution for the derivative nonlinear Schrodinger family.",
+)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("config", nargs="?", default=None,
+                     help="JSON config file; omit to run on defaults")
+_PARSER.add_argument("overrides", nargs=argparse.REMAINDER,
+                     help="--section.key value pairs; values parsed as JSON")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="gdnls",
-        description="Solitary waves, variational levels, and certified global "
-                    "evolution for the derivative nonlinear Schrodinger family.",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("config", nargs="?", default=None,
-                        help="JSON config file; omit to run on defaults")
-    parser.add_argument("overrides", nargs=argparse.REMAINDER,
-                        help="--section.key value pairs; values parsed as JSON")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = resolve_config(args.config, args.overrides)

@@ -184,8 +184,9 @@ def save_field(f: Field, path: str, t: float | None = None) -> None:
     }
     if t is not None:
         doc["t"] = t
+    text = json.dumps(doc)  # one C-encoded string; json.dump would stream through the Python encoder
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
 
 
 def load_field(path: str) -> Field:

@@ -110,6 +110,7 @@ class SearchConfig:
             raise ValueError(f"unknown strategy tag {self.strategy_hint!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # moments that overflow read inf or NaN, silently
 def membership(u0: Field, p: Params) -> Membership:
     """Exact-comparison classification; ties land on the inclusive side."""
     validate_params(p)
@@ -151,6 +152,7 @@ def _table(sigma: float, L: float) -> _Table:
     return _Table(tuple(kept), endpoints, level, Params(sigma, *cols))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # moments that overflow score no candidate, silently
 def certify_global(u0: Field, search: SearchConfig) -> Certificate | NotFound:
     """Scan the candidate table for a point where u0 sits in the good set.
 

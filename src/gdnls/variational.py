@@ -110,8 +110,9 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
     The iterate is carried as samples, spectrum and derivative together.  All
     three move linearly along the step and scale with the projection, so a
     trial costs no transform, and an iteration costs three: the forward FFT
-    of the nonlinear part of the gradient and the two inverse FFTs that bring
-    the preconditioned gradient and its derivative back to x.
+    of the nonlinear part of the gradient and the two inverse FFTs, made in
+    one paired call, that bring the preconditioned gradient and its
+    derivative back to x.
     """
     validate_params(p)
     if cfg.initial is not None:
@@ -123,7 +124,9 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
     b = p.omega - p.c**2 / 4
     k2 = g.k**2
     h1 = 1.0 + k2  # the H^1 symbol: preconditioner and step metric
+    kb = k2 + b  # the symbol of the quadratic part of the gradient
     dx = g.dx
+    pair = np.empty((2, g.N), complex)  # the step's spectrum and that of its derivative
 
     def project(v, vh, vx):
         """The iterate (v, its spectrum, its derivative) rescaled onto the constraint
@@ -146,13 +149,13 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
     prev = None  # (vh, grad_h) of the previous iterate
     for it in range(1, cfg.max_iters + 1):
         w = np.abs(v) ** (2 * s)
-        grad_h = (k2 + b) * vh + np.fft.fft(w * (0.5 * p.c * v - 1j * vx))
-        gnorm = math.sqrt(dx / g.N * float(np.sum(np.abs(grad_h) ** 2)))
+        grad_h = kb * vh + np.fft.fft(w * (0.5 * p.c * v - 1j * vx))
+        gnorm = math.sqrt(dx / g.N * float(np.vdot(grad_h, grad_h).real))
         grad_norms.append(gnorm)
         if gnorm < cfg.grad_tol * max(1.0, abs(vals.action)):
             converged = True
             break
-        dh = grad_h / h1
+        dh = np.divide(grad_h, h1, out=pair[0])
         # Barzilai-Borwein step in the H^1 metric; see MinimizeConfig for the guards
         eta = 1.0
         if prev is not None:
@@ -162,7 +165,8 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
                 eta = float(np.vdot(sh, h1 * sh).real) / sy
             eta = min(max(eta, 1e-3), 1e3, 2 * eta_last)
         prev = (vh, grad_h)
-        d, d_x = np.fft.ifft(dh), spectral_derivative(g, dh)
+        np.multiply(g.ik_first, dh, out=pair[1])
+        d, d_x = np.fft.ifft(pair)
         # Backtracking: halve until the projected step decreases the action.
         # A step large enough to leave the projectable region counts as failed.
         accepted = False

@@ -6,11 +6,13 @@ into the default gdnls-out there.
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gdnls import Field, Grid, NotProjectable, mass, save_field
+import gdnls
+from gdnls import Field, Grid, NotProjectable, SchemeConfig, mass, save_field
 from gdnls import cli, criterion
 from gdnls.cli import main
 from helpers import best_endpoint_margin
@@ -22,9 +24,13 @@ def outdir(tmp_path, monkeypatch):
     return tmp_path / "gdnls-out"
 
 
+def _refuse(token):
+    raise ValueError(f"manifest holds the non-JSON token {token}")
+
+
 def _manifest(outdir):
-    with open(outdir / "manifest.json") as fh:
-        return json.load(fh)
+    """The manifest, read as strict JSON: a bare NaN or Infinity token is an error."""
+    return json.loads((outdir / "manifest.json").read_text(), parse_constant=_refuse)
 
 
 def test_soliton_default_run(outdir):
@@ -99,6 +105,8 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
     u512 = str(tmp_path / "u512.json")
     save_field(Field(Grid(60.0, 512), np.exp(-Grid(60.0, 512).x ** 2)), u512)
     periodic = repr(4 * math.pi / 60.0)  # a box-periodic speed on the default L = 60
+    nan_dt = tmp_path / "nan_dt.json"
+    nan_dt.write_text(json.dumps({"scheme": {"dt": math.nan}}))  # Python's json writes NaN
     cases = (
         ["soliton", "--params.sigma", "0.5"],
         ["soliton", "--data.x0", "left"],
@@ -110,17 +118,7 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
         ["minimize-mu", "--minimize.grad_tol", "0"],
         ["verify", "--verify.fields", "many"],
         ["zroot", "--zroot.sigmas", "[2.5]"],
-        # non-finite parameters are rejected where they are read
-        ["simulate", "--params.omega", "NaN", "--grid.N", "256", "--scheme.T", "0.01"],
-        ["soliton", "--params.omega", "NaN"],
-        ["certify", "--params.sigma", "Infinity", "--grid.N", "256"],
-        ["minimize-mu", "--params.omega", "NaN"],
-        # so are infinite exponents, by validate_params before any step or descent
-        ["simulate", "--params.alpha", "Infinity", "--grid.N", "256", "--scheme.T", "0.01"],
-        ["minimize-mu", "--params.alpha", "Infinity", "--params.c", "0.5", "--params.beta", "-0.5"],
         # initial data the config builds must be finite, and mass_pi needs nonzero data
-        ["certify", "--data.amplitude", "NaN", "--grid.N", "256"],
-        ["simulate", "--data.amplitude", "NaN", "--grid.N", "256", "--scheme.T", "0.01"],
         ["certify", "--data.width", "0", "--grid.N", "256"],
         ["certify", "--data.amplitude", "0", "--data.mass_pi", "3", "--grid.N", "256"],
         # a check over nothing would pass vacuously
@@ -130,6 +128,24 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
     )
     # these messages name the key
     keyed = (
+        # a float key takes a finite number: NaN and Infinity are refused where they are read
+        (["simulate", "--params.omega", "NaN", "--grid.N", "256", "--scheme.T", "0.01"],
+         "params.omega"),
+        (["soliton", "--params.omega", "NaN"], "params.omega"),
+        (["certify", "--params.sigma", "Infinity", "--grid.N", "256"], "params.sigma"),
+        (["minimize-mu", "--params.omega", "NaN"], "params.omega"),
+        (["simulate", "--params.alpha", "Infinity", "--grid.N", "256", "--scheme.T", "0.01"],
+         "params.alpha"),
+        (["minimize-mu", "--params.alpha", "Infinity", "--params.c", "0.5", "--params.beta", "-0.5"],
+         "params.alpha"),
+        (["certify", "--data.amplitude", "NaN", "--grid.N", "256"], "data.amplitude"),
+        (["simulate", "--data.amplitude", "NaN", "--grid.N", "256", "--scheme.T", "0.01"],
+         "data.amplitude"),
+        # an infinite tolerance stopped the descent at its first test, and was recorded
+        (["minimize-mu", "--minimize.grad_tol", "Infinity"], "minimize.grad_tol"),
+        (["certify", "--data.mass_pi", "Infinity", "--grid.N", "256"], "data.mass_pi"),
+        (["zroot", "--zroot.sigmas", "[1.5, NaN]"], "zroot.sigmas"),
+        (["simulate", str(nan_dt), "--grid.N", "256"], "scheme.dt"),
         # a switch must be a JSON boolean: bool("False") and bool("no") are True
         (["simulate", "--scheme.adaptive", "False", "--grid.N", "256", "--scheme.T", "0.01"],
          "scheme.adaptive"),
@@ -183,8 +199,6 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, argv
         assert key is None or key in err, err
-        if argv[:2] == ["minimize-mu", "--params.alpha"]:
-            assert "BadExponents" in err and "finite" in err, err
     assert not outdir.exists()  # a refused run makes no output directory
 
 
@@ -278,6 +292,7 @@ def test_certify_on_a_box_too_small_for_any_speed_exits_1(outdir, capsys, L):
     assert "Traceback" not in capsys.readouterr().err
     doc = json.loads((outdir / "notfound.json").read_text())
     assert doc["tried"] == 0 and doc["params"] is None and doc["margin"] == math.inf
+    assert _manifest(outdir)["metrics"]["best_margin"] is None  # inf, written as null
 
 
 def test_minimize_mu_ground_state(outdir):
@@ -342,7 +357,7 @@ def test_simulate_blowup_reports_nan_drift(outdir):
     assert code == 1
     metrics = _manifest(outdir)["metrics"]
     assert metrics["blowup"] == 1
-    assert math.isnan(metrics["drift_E"])
+    assert metrics["drift_E"] is None  # NaN, written as null
     assert "no_blowup" in _failed_checks(outdir)
 
 
@@ -423,11 +438,17 @@ def test_simulate_rejects_non_finite_field_file(outdir, tmp_path, capsys):
 
 
 def test_simulate_rejects_non_finite_scheme_and_grid(outdir, capsys):
-    # each is refused where it enters, before any stepping or sampling
-    for key, what in (("--scheme.dt", "dt"), ("--scheme.T", "T"), ("--grid.L", "box length")):
-        assert main(["simulate", key, "Infinity", "--grid.N", "512"]) == 2
-        assert f"{what} must be positive and finite" in capsys.readouterr().err
+    # each is refused where it enters the config, before any stepping or sampling
+    for key in ("scheme.dt", "scheme.T", "grid.L"):
+        assert main(["simulate", f"--{key}", "Infinity", "--grid.N", "512"]) == 2
+        assert f"{key} must be a finite number, got inf" in capsys.readouterr().err
     assert not outdir.exists()  # a refused run makes no output directory
+    # and a library caller meets the same refusal where the value is used
+    for build, what in ((lambda: SchemeConfig(dt=math.inf, T=1.0), "dt"),
+                        (lambda: SchemeConfig(dt=1e-3, T=math.inf), "T"),
+                        (lambda: Grid(math.inf, 512), "box length")):
+        with pytest.raises(ValueError, match=f"{what} must be positive and finite"):
+            build()
 
 
 def test_zroot_single_sigma(outdir):
@@ -445,7 +466,7 @@ def test_zroot_missed_bracket_is_a_failed_check(outdir):
     assert main(["zroot", "--zroot.sigmas", "[1.0001, 1.5]"]) == 1
     checks = _manifest(outdir)["checks"]
     assert [c["passed"] for c in checks] == [False, True]
-    assert math.isnan(checks[0]["value"])
+    assert checks[0]["value"] is None  # NaN, written as null
     rows = (outdir / "zroot.csv").read_text().splitlines()
     assert rows[1] == "1.0001,nan,nan" and rows[2].startswith("1.5,")
 
@@ -474,3 +495,9 @@ def test_config_out_is_where_the_run_writes(outdir, tmp_path):
     assert main(["zroot", "--out", "5", "--zroot.sigmas", "[1.5]"]) == 0
     assert _manifest(tmp_path / "5")["config"]["out"] == "5"
 
+
+def test_manifest_version_is_the_package_version(outdir):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on; the package supports 3.10
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert main(["zroot", "--zroot.sigmas", "[1.5]"]) == 0
+    assert _manifest(outdir)["version"] == gdnls.__version__ == pyproject["project"]["version"]

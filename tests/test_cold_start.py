@@ -1,5 +1,7 @@
 """No run loads scipy: a sigma = 1 run, a sigma != 1 endpoint certificate, the
-sigma != 1 interior level, a sigma = 2 minimize-mu run and z0_root run on numpy alone."""
+sigma != 1 interior level, a sigma = 2 minimize-mu run and z0_root run on numpy alone.
+Nor does a CLI run load importlib.metadata and the email package it pulls in: the
+manifest's version is the constant gdnls.__version__."""
 
 import os
 import subprocess
@@ -41,6 +43,8 @@ with tempfile.TemporaryDirectory() as tmp:
 z0_root(1.5)
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded[:5]
+unwanted = sorted(m for m in sys.modules if m == "email" or m.startswith(("email.", "importlib.metadata")))
+assert not unwanted, unwanted[:5]
 """
 
 

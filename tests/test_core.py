@@ -1,5 +1,6 @@
 """Grid layout, field container, and the spectral calculus primitives."""
 
+import io
 import json
 import math
 
@@ -124,6 +125,19 @@ def test_save_load_round_trip(tmp_path):
     back = load_field(str(path))
     assert back.grid == g
     assert np.array_equal(back.values, f.values)
+
+
+def test_save_field_writes_the_bytes_json_dump_writes(tmp_path):
+    # one C-encoded string in place of json.dump's streamed Python encoder: same file
+    g = Grid(60.0, 4096)
+    rng = np.random.default_rng(3)
+    f = Field(g, rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N))
+    path = tmp_path / "field.json"
+    save_field(f, str(path), t=0.1 + 0.2)
+    streamed = io.StringIO()
+    json.dump({"L": g.L, "N": g.N, "re": f.values.real.tolist(), "im": f.values.imag.tolist(),
+               "t": 0.1 + 0.2}, streamed)
+    assert path.read_bytes() == streamed.getvalue().encode()
 
 
 def test_load_field_rejects_non_finite_samples(tmp_path):

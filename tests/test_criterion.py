@@ -5,6 +5,7 @@ they only move if the scan lattice or the data recipes change.
 """
 
 import math
+import warnings
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -172,6 +173,18 @@ def test_certify_not_found_keeps_best_margin():
     assert res.params is not None
     # the interior route can only lower the best miss of the endpoint route
     assert 0 < res.margin <= best_endpoint_margin(u)
+
+
+def test_certify_overflowing_data_is_a_silent_miss():
+    # moments that overflow score no candidate; the miss says so without a RuntimeWarning
+    g = Grid(60.0, 1024)
+    u = Field(g, 1e80 * np.exp(-(g.x**2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = certify_global(u, SearchConfig(sigma=1.0))
+        membership(u, Params(1.0, 1.0, 0.0))
+    assert isinstance(res, NotFound) and res.tried == 280
+    assert res.margin == math.inf and res.params is None
 
 
 def _modulated_sigma2():

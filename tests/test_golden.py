@@ -1,8 +1,12 @@
-"""Golden certificate numbers: certify_global on a fixed corpus against tests/golden.json.
+"""Golden numbers against tests/golden.json: certificates, descent levels and reference levels.
 
-A change that moves any of these numbers shows in the diff of golden.json.  Hit
-or miss, tag, tried and params must match exactly; action, level, virial and
-margin to 1e-12 relative, with inf and NaN matched exactly.  Rewrite the file with
+A change that moves any of these numbers shows in the diff of golden.json.  The
+file's first keys name the certify_global outcomes on a fixed corpus: hit or miss,
+tag, tried and params must match exactly; action, level, virial and margin to
+1e-12 relative, with inf and NaN matched exactly.  The last keys are sections that
+each hold one function at fixed arguments (see SCALARS): estimate_mu's level on
+(20 pi, 512) to 1e-10 relative, and mu_reference, F_sigma and z0_root to 1e-13.  Iteration counts
+are not pinned; at the roundoff floor they hang on rounding.  Rewrite the file with
 
     PYTHONPATH=src python tests/test_golden.py --rewrite
 
@@ -17,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gdnls import Field, Grid, SearchConfig, certify_global, corollary15_data
+from gdnls import (F_sigma, Field, Grid, MinimizeConfig, Params, SearchConfig, certify_global,
+                   corollary15_data, estimate_mu, mu_reference, z0_root)
 from helpers import gaussian_with_mass
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -58,11 +63,34 @@ def _corpus() -> dict:
 
 def _outcomes() -> dict:
     out = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, (u, search) in _corpus().items():
-            res = certify_global(u, search)
-            out[name] = {"kind": type(res).__name__, **dataclasses.asdict(res)}
+    for name, (u, search) in _corpus().items():
+        res = certify_global(u, search)
+        out[name] = {"kind": type(res).__name__, **dataclasses.asdict(res)}
     return out
+
+
+def _descent_level(*params: float) -> float:
+    return estimate_mu(Params(*params), MinimizeConfig(grid=Grid(20 * math.pi, 512))).mu
+
+
+# section -> (function, relative tolerance, argument tuples); each entry pins one value.
+# The descent points converge in 10-17 iterations, clear of the roundoff floor.
+SCALARS = {
+    "estimate_mu": (_descent_level, 1e-10, [
+        (1.0, 1.0, 0.0, 1.0, 0.0), (1.0, 0.9, 0.4, 1.0, -0.3),
+        (2.0, 0.95, -0.3, 1.0, 0.2), (1.5, 1.0, 0.3, 1.0, -0.2)]),
+    # interior points with either sign of c, and the endpoint omega = c^2/4
+    "mu_reference": (lambda *a: mu_reference(Params(*a)), 1e-13, [
+        (s, w, c) for s in (1.0, 1.5, 2.0, 3.0) for w, c in ((1.0, 0.5), (1.0, -1.2), (0.25, 1.0))]),
+    "F_sigma": (F_sigma, 1e-13, [(-0.9, 1.0), (0.3, 1.2), (-0.5, 1.5), (0.5, 1.5), (0.9, 1.8),
+                                  (0.0, 2.0)]),
+    "z0_root": (z0_root, 1e-13, [(1.2,), (1.5,), (1.8,)]),
+}
+
+
+def _scalars() -> dict:
+    return {name: [{"args": list(args), "value": fn(*args)} for args in points]
+            for name, (fn, _, points) in SCALARS.items()}
 
 
 def _close(got: float, want: float) -> bool:
@@ -72,7 +100,7 @@ def _close(got: float, want: float) -> bool:
 
 
 def test_certificates_match_golden():
-    want = json.loads(GOLDEN.read_text())
+    want = {k: v for k, v in json.loads(GOLDEN.read_text()).items() if k not in SCALARS}
     got = _outcomes()
     assert got.keys() == want.keys()
     for name, doc in want.items():
@@ -82,7 +110,16 @@ def test_certificates_match_golden():
             assert ok, (name, key, got[name][key], val)
 
 
+def test_levels_and_roots_match_golden():
+    want = json.loads(GOLDEN.read_text())
+    for name, (fn, rel, points) in SCALARS.items():
+        assert [entry["args"] for entry in want[name]] == [list(args) for args in points], name
+        for entry in want[name]:
+            got = fn(*entry["args"])
+            assert abs(got - entry["value"]) <= rel * abs(entry["value"]), (name, entry, got)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--rewrite"]:
         sys.exit(f"usage: {sys.argv[0]} --rewrite")
-    GOLDEN.write_text(json.dumps(_outcomes(), indent=1) + "\n")
+    GOLDEN.write_text(json.dumps({**_outcomes(), **_scalars()}, indent=1) + "\n")
