@@ -29,7 +29,8 @@ from .criterion import Certificate, SearchConfig, certify_global, membership
 from .errors import (BadExponents, IncompatibleModulation, NoBracket, NotAdmissible, SigmaUnsupported,
                      ZeroField)
 from .evolve import SchemeConfig, integrate, write_trajectory_csv
-from .functionals import action_S, energy, gn1_ratio, identity_suite, mass, momentum
+# action_S, energy and momentum are unused here; bench/tracer.py patches them by name
+from .functionals import action_S, energy, gn1_ratio, identity_suite, mass, moments, momentum  # noqa: F401
 from .variational import MinimizeConfig, estimate_mu, mu_reference
 from .waves import (
     F_sigma,
@@ -282,8 +283,8 @@ def cmd_soliton(cfg: dict) -> int:
                 for x, v in zip(grid.x, phi.values)])
     run.metrics["slow_decay"] = spec.massless
 
-    numeric = {"M": mass(phi), "P": momentum(phi), "E": energy(phi, p.sigma),
-               "S": action_S(phi, p)}
+    mom = moments(phi, p.sigma)
+    numeric = {"M": mom.mass, "P": mom.momentum, "E": mom.energy(), "S": mom.action(p)}
     # sigma = 1 has all four closed forms; otherwise only the action has a reference, the level
     refs = (dict(zip("MPES", closed_form_invariants(p.omega, p.c))) if p.sigma == 1.0
             else {"S": mu_reference(p)})
@@ -353,8 +354,11 @@ def cmd_certify(cfg: dict) -> int:
     result = certify_global(u0, search)
 
     found = isinstance(result, Certificate)
+    # strict JSON, as in the manifest: a miss's infinite margin or NaN action is null
+    doc = {key: _json_number(val) for key, val in dataclasses.asdict(result).items()}
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with open(run.path("certificate.json" if found else "notfound.json"), "w") as fh:
-        json.dump(dataclasses.asdict(result), fh, indent=2)
+        fh.write(text)
     run.metrics["found"] = found
     run.check("certificate_found", float(found), 1.0, found)
     if found:

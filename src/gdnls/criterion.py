@@ -112,11 +112,11 @@ class SearchConfig:
 
 @np.errstate(over="ignore", invalid="ignore")  # moments that overflow read inf or NaN, silently
 def membership(u0: Field, p: Params) -> Membership:
-    """Exact-comparison classification; ties land on the inclusive side."""
+    """Exact-comparison classification; ties land on the inclusive side, a NaN action or virial in neither."""
     validate_params(p)
     mom, level = moments(u0, p.sigma), mu_reference(p)
     s, k = mom.action(p), mom.virial(p)
-    kind = "Neither" if s > level else "KPlus" if k >= 0 else "KMinus"
+    kind = "Neither" if not s <= level or math.isnan(k) else "KPlus" if k >= 0 else "KMinus"
     return Membership(kind, s, level, k)
 
 

@@ -9,10 +9,11 @@ and the action at speeds (omega, c) is S = E + (omega/2) M + (c/2) P.  The
 same objects on `Moments.modulated(c)`, the moments of u computed from those
 of psi, so no modulation is ever sampled on the grid.
 
-Energy, action, virial and the tilde family are scalar algebra over one
-`Moments` evaluation: one FFT pair from a field, none from samples of u and
-u_x.  Mass, momentum and nonlinear_N stay direct; identity_suite compares
-direct integrands against the `Moments` algebra, both on one u_x.
+Every integral that needs u_x comes from one `Moments` evaluation: one FFT
+pair from a field, none from samples of u and u_x.  Momentum, energy, action,
+virial, the tilde family and the sharp-constant ratios are scalar algebra over
+it.  Only mass, which needs no transform, stays direct, and identity_suite
+compares direct integrands against the `Moments` algebra, both on one u_x.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import ZeroField
 __all__ = [
     "mass",
     "momentum",
-    "nonlinear_N",
     "energy",
     "action_S",
     "virial_K",
@@ -49,11 +49,6 @@ def _l2sq(u: Field, v: np.ndarray) -> float:
     return u.grid.dx * float(np.sum(np.abs(v) ** 2))
 
 
-def _grad_sq(u: Field) -> float:
-    """||u_x||^2."""
-    return _l2sq(u, spectral_derivative(u.grid, np.fft.fft(u.values)))
-
-
 def _lpp(u: Field, p: float) -> float:
     """||u||_p^p (the integral itself, no root)."""
     return u.grid.dx * float(np.sum(np.abs(u.values) ** p))
@@ -61,17 +56,6 @@ def _lpp(u: Field, p: float) -> float:
 
 def mass(u: Field) -> float:
     return _l2sq(u, u.values)
-
-
-def momentum(u: Field) -> float:
-    du = spectral_derivative(u.grid, np.fft.fft(u.values))
-    return u.grid.dx * float(np.sum((1j * du * np.conj(u.values)).real))
-
-
-def nonlinear_N(u: Field, sigma: float) -> float:
-    du = spectral_derivative(u.grid, np.fft.fft(u.values))
-    integrand = 1j * np.abs(u.values) ** (2 * sigma) * np.conj(u.values) * du
-    return u.grid.dx * float(np.sum(integrand.real))
 
 
 class Moments(NamedTuple):
@@ -149,6 +133,10 @@ def sample_moments(v: np.ndarray, du: np.ndarray, dx: float, sigma: float) -> Mo
         -dx * float(np.dot(ws, (np.conj(v) * du).imag)),
         dx * float(np.dot(ws, a2)),
     )
+
+
+def momentum(u: Field) -> float:
+    return moments(u, 1.0).momentum
 
 
 def energy(u: Field, sigma: float) -> float:
@@ -244,16 +232,12 @@ def _nonzero(f: Field) -> None:
 def gn1_ratio(f: Field) -> float:
     """||f||_6^6 over (4/pi^2) ||f||_2^4 ||f_x||_2^2; equality at the c = 0 wave."""
     _nonzero(f)
-    return _lpp(f, 6.0) / (4 / math.pi**2 * mass(f) ** 2 * _grad_sq(f))
+    mom = moments(f, 2.0)  # its pot is ||f||_6^6
+    return mom.pot / (4 / math.pi**2 * mom.mass**2 * mom.grad_sq)
 
 
 def gn2_ratio(f: Field) -> float:
     """||f||_6^6 over 3 (2pi)^(-2/3) ||f||_4^(16/3) ||f_x||_2^(2/3); equality at the endpoint wave."""
     _nonzero(f)
-    denom = (
-        3
-        * (2 * math.pi) ** (-2 / 3)
-        * _lpp(f, 4.0) ** (4 / 3)
-        * _grad_sq(f) ** (1 / 3)
-    )
-    return _lpp(f, 6.0) / denom
+    mom = moments(f, 2.0)
+    return mom.pot / (3 * (2 * math.pi) ** (-2 / 3) * _lpp(f, 4.0) ** (4 / 3) * mom.grad_sq ** (1 / 3))

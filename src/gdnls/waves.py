@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -62,16 +62,13 @@ class SolitonSpec:
     c: float
     x0: float = 0.0
     theta0: float = 0.0
+    massless: bool = field(init=False, repr=False, compare=False)  # on the endpoint omega = c^2/4
 
     def __post_init__(self) -> None:
-        require_admissible(self.sigma, self.omega, self.c)
+        object.__setattr__(self, "massless", require_admissible(self.sigma, self.omega, self.c))
         if not (math.isfinite(self.x0) and math.isfinite(self.theta0)):
             raise ValueError(f"x0 and theta0 must be finite, got {self.x0}, {self.theta0}")
         object.__setattr__(self, "theta0", self.theta0 % (2 * math.pi))
-
-    @property
-    def massless(self) -> bool:
-        return self.omega == self.c * self.c / 4
 
 
 def _amplitude_power(spec: SolitonSpec, y: np.ndarray) -> np.ndarray:

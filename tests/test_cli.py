@@ -15,7 +15,7 @@ import gdnls
 from gdnls import Field, Grid, NotProjectable, SchemeConfig, mass, save_field
 from gdnls import cli, criterion
 from gdnls.cli import main
-from helpers import best_endpoint_margin
+from helpers import best_endpoint_margin, count_ffts
 
 
 @pytest.fixture
@@ -25,7 +25,7 @@ def outdir(tmp_path, monkeypatch):
 
 
 def _refuse(token):
-    raise ValueError(f"manifest holds the non-JSON token {token}")
+    raise ValueError(f"output holds the non-JSON token {token}")
 
 
 def _manifest(outdir):
@@ -44,6 +44,13 @@ def test_soliton_default_run(outdir):
     prof = (outdir / "profile.csv").read_text().splitlines()
     assert prof[0] == "x,re,im,abs"
     assert len(prof) == 1 + 4096
+
+
+def test_soliton_takes_one_transform_pair_for_its_invariants(outdir, monkeypatch):
+    # one forward FFT and its inverse for M, P, E and S, one pair for the elliptic residual
+    calls = count_ffts(monkeypatch)
+    assert main(["soliton"]) == 0
+    assert calls == [4, 4]
 
 
 def test_soliton_checks_the_action_against_the_level_off_sigma_one(outdir):
@@ -290,8 +297,9 @@ def test_certify_on_a_box_too_small_for_any_speed_exits_1(outdir, capsys, L):
     # every snapped speed 4 pi / L has an infinite c^2/4: no candidate, a plain miss
     assert main(["certify", "--grid.L", L, "--grid.N", "256"]) == 1
     assert "Traceback" not in capsys.readouterr().err
-    doc = json.loads((outdir / "notfound.json").read_text())
-    assert doc["tried"] == 0 and doc["params"] is None and doc["margin"] == math.inf
+    doc = json.loads((outdir / "notfound.json").read_text(), parse_constant=_refuse)
+    assert doc["tried"] == 0 and doc["params"] is None
+    assert doc["margin"] is None and doc["action"] is None  # inf and NaN, written as null
     assert _manifest(outdir)["metrics"]["best_margin"] is None  # inf, written as null
 
 

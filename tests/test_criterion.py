@@ -182,8 +182,9 @@ def test_certify_overflowing_data_is_a_silent_miss():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = certify_global(u, SearchConfig(sigma=1.0))
-        membership(u, Params(1.0, 1.0, 0.0))
+        member = membership(u, Params(1.0, 1.0, 0.0))
     assert isinstance(res, NotFound) and res.tried == 280
+    assert member.kind == "Neither" and math.isnan(member.virial)  # not "KMinus"
     assert res.margin == math.inf and res.params is None
 
 

@@ -20,7 +20,7 @@ EXPORTED_BEFORE = {
     "homogeneity_split", "identity_suite",
     "integrate", "invariance_check", "is_grid_compatible", "load_field", "mass",
     "membership", "modulate", "moments", "momentum",
-    "mu_reference", "nonlinear_N", "profile_Phi", "profile_phi", "require_admissible",
+    "mu_reference", "profile_Phi", "profile_phi", "require_admissible",
     "save_field", "spectral_derivative", "tilde_functionals", "traveling_wave",
     "validate_params", "variational", "virial_K", "waves", "write_trajectory_csv", "z0_root",
 }
@@ -34,13 +34,14 @@ EXPORTED_BEFORE = {
 # whose one caller read only gn1 (gn1_ratio and gn2_ratio stay exported on their
 # own), the Agmon ratio, which only its own tests called, and the Guo-Wu gradient
 # bound with its error, a looser duplicate of the bound invariance_check reads
-# off a negative-momentum certificate, and require_finite, whose check every Field
-# now makes when it is built
+# off a negative-momentum certificate, require_finite, whose check every Field
+# now makes when it is built, and nonlinear_N, which only its own tests called
+# (Moments.nonlinear holds the same integral)
 RETIRED = {
     "I_functional", "gauge_to_w", "gauge_from_w", "calE", "calP", "gw_momentum_floor",
     "cumulative_integral", "first_integral_residual", "modulus_alignment_error",
     "QuadratureFailure", "Overflow", "gn_checks", "GNReport", "agmon_ratio",
-    "guo_wu_bound", "guo_wu_bound_values", "Inapplicable", "require_finite",
+    "guo_wu_bound", "guo_wu_bound_values", "Inapplicable", "require_finite", "nonlinear_N",
 }
 
 

@@ -23,7 +23,6 @@ from gdnls import (
     modulate,
     moments,
     momentum,
-    nonlinear_N,
     profile_Phi,
     sample_moments,
     tilde_functionals,
@@ -47,7 +46,7 @@ def test_nonlinear_term_under_boost(grid):
     u = Field(grid, env * np.exp(1j * b * grid.x))
     for sigma in (1.0, 2.0):
         pot = grid.dx * float(np.sum(env ** (2 * sigma + 2)))
-        assert nonlinear_N(u, sigma) == pytest.approx(-b * pot, rel=1e-12)
+        assert moments(u, sigma).nonlinear == pytest.approx(-b * pot, rel=1e-12)
 
 
 def test_action_assembly(grid):

@@ -1,12 +1,15 @@
-"""Golden numbers against tests/golden.json: certificates, descent levels and reference levels.
+"""Golden numbers against tests/golden.json: certificates, levels, roots and trajectories.
 
 A change that moves any of these numbers shows in the diff of golden.json.  The
 file's first keys name the certify_global outcomes on a fixed corpus: hit or miss,
 tag, tried and params must match exactly; action, level, virial and margin to
-1e-12 relative, with inf and NaN matched exactly.  The last keys are sections that
+1e-12 relative, with inf and NaN matched exactly.  Then come sections that
 each hold one function at fixed arguments (see SCALARS): estimate_mu's level on
 (20 pi, 512) to 1e-10 relative, and mu_reference, F_sigma and z0_root to 1e-13.  Iteration counts
-are not pinned; at the roundoff floor they hang on rounding.  Rewrite the file with
+are not pinned; at the roundoff floor they hang on rounding.  The last section,
+"integrate", holds three runs of the stepper (see _runs): every record column to
+1e-12 relative, the final field to 1e-12 absolute, blowup and the end time exactly.
+Rewrite the file with
 
     PYTHONPATH=src python tests/test_golden.py --rewrite
 
@@ -21,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gdnls import (F_sigma, Field, Grid, MinimizeConfig, Params, SearchConfig, certify_global,
-                   corollary15_data, estimate_mu, mu_reference, z0_root)
+from gdnls import (DiagnosticsRecord, F_sigma, Field, Grid, MinimizeConfig, Params, SchemeConfig,
+                   SearchConfig, SolitonSpec, certify_global, corollary15_data, estimate_mu,
+                   integrate, mu_reference, profile_phi, z0_root)
 from helpers import gaussian_with_mass
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -93,6 +97,40 @@ def _scalars() -> dict:
             for name, (fn, _, points) in SCALARS.items()}
 
 
+def _runs() -> dict:
+    """name -> (u0, scheme, params, sample_every); params pick sigma and the record frame.
+
+    The frames sit off the data's own speeds, so no column is a roundoff-sized zero.
+    """
+    g = Grid(60.0, 256)
+    boosted = gaussian_with_mass(g, 1.5, boost=2 * math.pi * 5 / 60.0)
+    return {
+        # 200 fixed steps of a sigma = 1 wave
+        "soliton-sigma1": (profile_phi(SolitonSpec(1.0, 1.0, 0.5), g), SchemeConfig(1e-3, 0.2),
+                           Params(1.0, 2.0, 1.0, 1.0, -0.5), 20),
+        # the amplitude CFL cap sets the steps
+        "gaussian-sigma2-adaptive": (boosted, SchemeConfig(0.02, 0.5, adaptive=True),
+                                     Params(2.0, 1.0, 0.0, 1.0, 0.0), 4),
+        # a step instability: the second step leaves the finite range, so the run ends at t = 1e-3
+        "gaussian-sigma3-blowup": (boosted.with_values(3.0 / np.max(np.abs(boosted.values)) * boosted.values),
+                                   SchemeConfig(1e-3, 0.2), Params(3.0, 1.0, 0.0, 1.0, 0.0), 10),
+    }
+
+
+def _trajectories() -> dict:
+    out = {}
+    for name, (u0, scheme, p, every) in _runs().items():
+        traj = integrate(u0, scheme, p, sample_every=every)
+        out[name] = {
+            "blowup": traj.blowup,
+            "end_t": traj.times[-1],
+            "records": {f.name: [getattr(r, f.name) for r in traj.records]
+                        for f in dataclasses.fields(DiagnosticsRecord)},
+            "final": {"re": traj.final.values.real.tolist(), "im": traj.final.values.imag.tolist()},
+        }
+    return out
+
+
 def _close(got: float, want: float) -> bool:
     if math.isnan(want) or math.isinf(want):
         return got == want or (math.isnan(got) and math.isnan(want))
@@ -100,7 +138,8 @@ def _close(got: float, want: float) -> bool:
 
 
 def test_certificates_match_golden():
-    want = {k: v for k, v in json.loads(GOLDEN.read_text()).items() if k not in SCALARS}
+    want = {k: v for k, v in json.loads(GOLDEN.read_text()).items()
+            if k not in SCALARS and k != "integrate"}
     got = _outcomes()
     assert got.keys() == want.keys()
     for name, doc in want.items():
@@ -119,7 +158,24 @@ def test_levels_and_roots_match_golden():
             assert abs(got - entry["value"]) <= rel * abs(entry["value"]), (name, entry, got)
 
 
+def test_trajectories_match_golden():
+    want = json.loads(GOLDEN.read_text())["integrate"]
+    got = _trajectories()
+    assert got.keys() == want.keys()
+    for name, doc in want.items():
+        run = got[name]
+        assert (run["blowup"], run["end_t"]) == (doc["blowup"], doc["end_t"]), name
+        assert run["records"].keys() == doc["records"].keys(), name
+        for col, vals in doc["records"].items():
+            assert len(run["records"][col]) == len(vals), (name, col)
+            assert all(map(_close, run["records"][col], vals)), (name, col, run["records"][col], vals)
+        for part, vals in doc["final"].items():
+            err = np.max(np.abs(np.subtract(run["final"][part], vals)))
+            assert err <= 1e-12, (name, part, err)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--rewrite"]:
         sys.exit(f"usage: {sys.argv[0]} --rewrite")
-    GOLDEN.write_text(json.dumps({**_outcomes(), **_scalars()}, indent=1) + "\n")
+    doc = {**_outcomes(), **_scalars(), "integrate": _trajectories()}
+    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")

@@ -51,6 +51,13 @@ def test_spec_validation_and_phase_wrap():
     assert s.theta0 == pytest.approx(0.3)
 
 
+def test_spec_endpoint_flag_stays_out_of_repr_and_equality():
+    end = SolitonSpec(1.0, 0.25, 1.0)
+    assert end.massless and not SolitonSpec(1.0, 1.0, 0.0).massless
+    assert repr(end) == "SolitonSpec(sigma=1.0, omega=0.25, c=1.0, x0=0.0, theta0=0.0)"
+    assert end == SolitonSpec(1.0, 0.25, 1.0) and hash(end) == hash(SolitonSpec(1.0, 0.25, 1.0))
+
+
 def test_amplitude_peak_cosh_branch():
     g = Grid(60.0, 2048)
     f = profile_Phi(SolitonSpec(1.0, 1.0, 0.0), g)
