@@ -24,7 +24,8 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .core import Field, Grid, Params, load_field, modulate, require_admissible, save_field
+from .core import (Field, Grid, Params, load_field, modulate, require_admissible, save_field, write_table,
+                   write_text)
 from .criterion import Certificate, SearchConfig, certify_global, membership
 from .errors import (BadExponents, IncompatibleModulation, NoBracket, NotAdmissible, SigmaUnsupported,
                      ZeroField)
@@ -219,13 +220,19 @@ def _initial_data(cfg: dict, grid: Grid) -> Field:
     return u
 
 
-def _json_number(val):
-    """val, or None for a non-finite float, which strict JSON cannot hold."""
-    return None if isinstance(val, float) and not math.isfinite(val) else val
+def _strict_json(doc) -> str:
+    """doc as strict JSON text: a NaN or infinite float, at any depth, is null."""
+    def finite(val):
+        if isinstance(val, dict):
+            return {key: finite(v) for key, v in val.items()}
+        if isinstance(val, (list, tuple)):
+            return [finite(v) for v in val]
+        return None if isinstance(val, float) and not math.isfinite(val) else val
+    return json.dumps(finite(doc), indent=2, allow_nan=False)
 
 
 class Run:
-    """Collects outputs, metrics, and checks; writes the manifest atomically."""
+    """One command's outputs, metrics and checks; every file is written atomically."""
 
     def __init__(self, command: str, cfg: dict):
         self.command = command
@@ -241,46 +248,37 @@ class Run:
         self.outputs.append(name)
         return os.path.join(self.out_dir, name)
 
-    def check(self, name: str, value: float, threshold: float, passed: bool) -> bool:
+    def table(self, name: str, header: str, rows) -> None:
+        write_table(self.path(name), header, rows)
+
+    def json(self, name: str, doc) -> None:
+        write_text(self.path(name), _strict_json(doc))
+
+    def check(self, name: str, value: float, threshold: float, passed: bool) -> None:
         self.checks.append({"name": name, "value": value, "threshold": threshold, "passed": bool(passed)})
-        return passed
 
     def finish(self) -> int:
-        """Write the manifest as strict JSON: a NaN or infinite metric or check value is null."""
+        """Write the manifest, which the outputs do not list; the exit code: 0 if every check passed, else 1."""
         manifest = {
             "version": __version__,
             "command": self.command,
             "config": self.cfg,
             "wall_clock_s": round(time.perf_counter() - self.t0, 3),
-            "metrics": {key: _json_number(val) for key, val in self.metrics.items()},
-            "checks": [{**c, "value": _json_number(c["value"])} for c in self.checks],
+            "metrics": self.metrics,
+            "checks": self.checks,
             "outputs": self.outputs,
         }
-        text = json.dumps(manifest, indent=2, allow_nan=False)  # refused before any file is opened
-        final = os.path.join(self.out_dir, "manifest.json")
-        tmp = f"{final}.tmp-{os.getpid()}"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, final)
+        write_text(os.path.join(self.out_dir, "manifest.json"), _strict_json(manifest))
         return 0 if all(c["passed"] for c in self.checks) else 1
 
 
-def _write_csv(path: str, header: str, rows: list[tuple]) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(item) for item in row) + "\n")
-
-
-def cmd_soliton(cfg: dict) -> int:
-    run = Run("soliton", cfg)
+def cmd_soliton(run: Run, cfg: dict) -> None:
     grid = _grid(cfg)
     p = _params(cfg)
     spec = _soliton_spec(cfg)
     phi = profile_phi(spec, grid)
-    _write_csv(run.path("profile.csv"), "x,re,im,abs",
-               [(repr(x), repr(v.real), repr(v.imag), repr(abs(v)))
-                for x, v in zip(grid.x, phi.values)])
+    run.table("profile.csv", "x,re,im,abs",
+              ((x, v.real, v.imag, abs(v)) for x, v in zip(grid.x, phi.values)))
     run.metrics["slow_decay"] = spec.massless
 
     mom = moments(phi, p.sigma)
@@ -291,23 +289,21 @@ def cmd_soliton(cfg: dict) -> int:
     rows = []
     for name, num in numeric.items():
         if name not in refs:
-            rows.append((name, repr(num), "", ""))
+            rows.append((name, num, "", ""))
             continue
         rel = abs(num - refs[name]) / max(abs(refs[name]), 1.0)
-        rows.append((name, repr(num), repr(refs[name]), repr(rel)))
+        rows.append((name, num, refs[name], rel))
         if not spec.massless:
             run.check(f"invariant_{name}", rel, 1e-6, rel < 1e-6)
-    _write_csv(run.path("invariants.csv"), "quantity,numeric,closed,relerr", rows)
+    run.table("invariants.csv", "quantity,numeric,closed,relerr", rows)
 
     res = elliptic_residual(profile_Phi(spec, grid), p)
     run.metrics["elliptic_residual"] = res
     if not spec.massless:
         run.check("elliptic_residual", res, 1e-8, res < 1e-8)
-    return run.finish()
 
 
-def cmd_verify(cfg: dict) -> int:
-    run = Run("verify", cfg)
+def cmd_verify(run: Run, cfg: dict) -> None:
     grid = _grid(cfg)
     rng, modes = np.random.default_rng(0), 24  # one fixed corpus, spectra on |m| <= 24
     if grid.N < 64:  # the smallest power of two with room for 2 * modes + 1 distinct modes
@@ -336,16 +332,13 @@ def cmd_verify(cfg: dict) -> int:
     for z in (-0.9, 0.0, 0.9):
         rows.append((f"F1_at_{z}_plus_1", abs(F_sigma(z, 1.0) + 1.0), 1e-10))
 
-    table = []
     for name, value, threshold in rows:
-        passed = run.check(name, value, threshold, value < threshold)
-        table.append((name, repr(value), repr(threshold), "pass" if passed else "fail"))
-    _write_csv(run.path("checks.csv"), "check,value,threshold,status", table)
-    return run.finish()
+        run.check(name, value, threshold, value < threshold)
+    run.table("checks.csv", "check,value,threshold,status",
+              ((c["name"], c["value"], c["threshold"], "pass" if c["passed"] else "fail") for c in run.checks))
 
 
-def cmd_certify(cfg: dict) -> int:
-    run = Run("certify", cfg)
+def cmd_certify(run: Run, cfg: dict) -> None:
     grid = _grid(cfg)
     u0 = _initial_data(cfg, grid)
     with _config_input():
@@ -354,11 +347,7 @@ def cmd_certify(cfg: dict) -> int:
     result = certify_global(u0, search)
 
     found = isinstance(result, Certificate)
-    # strict JSON, as in the manifest: a miss's infinite margin or NaN action is null
-    doc = {key: _json_number(val) for key, val in dataclasses.asdict(result).items()}
-    text = json.dumps(doc, indent=2, allow_nan=False)
-    with open(run.path("certificate.json" if found else "notfound.json"), "w") as fh:
-        fh.write(text)
+    run.json("certificate.json" if found else "notfound.json", dataclasses.asdict(result))
     run.metrics["found"] = found
     run.check("certificate_found", float(found), 1.0, found)
     if found:
@@ -367,30 +356,26 @@ def cmd_certify(cfg: dict) -> int:
         run.check("membership_recheck", 1.0 if kind == "KPlus" else 0.0, 1.0, kind == "KPlus")
     else:
         run.metrics["best_margin"] = result.margin
-    return run.finish()
 
 
-def cmd_minimize_mu(cfg: dict) -> int:
-    run = Run("minimize-mu", cfg)
+def cmd_minimize_mu(run: Run, cfg: dict) -> None:
     p = _params(cfg)
     with _config_input():
         mc = MinimizeConfig(grad_tol=cfg["minimize"]["grad_tol"], grid=_grid(cfg))
     est = estimate_mu(p, mc)
     ref = mu_reference(p)
     rel = abs(est.mu - ref) / abs(ref)
-    _write_csv(run.path("mu.csv"), "mu,reference,rel_err,iterations,converged",
-               [(repr(est.mu), repr(ref), repr(rel), est.iterations, int(est.converged))])
+    run.table("mu.csv", "mu,reference,rel_err,iterations,converged",
+              [(est.mu, ref, rel, est.iterations, int(est.converged))])
     run.metrics.update({"mu": est.mu, "reference": ref, "rel_err": rel,
                         "iterations": est.iterations, "trials": est.trials,
                         "backtracks": est.trials - (len(est.history) - 1),
                         "grad_norm": est.grad_norms[-1]})
     run.check("converged", 1.0 if est.converged else 0.0, 1.0, est.converged)
     run.check("mu_matches_reference", rel, 1e-3, rel < 1e-3)
-    return run.finish()
 
 
-def cmd_simulate(cfg: dict) -> int:
-    run = Run("simulate", cfg)
+def cmd_simulate(run: Run, cfg: dict) -> None:
     grid = _grid(cfg)
     p = _params(cfg)
     with _config_input():
@@ -408,7 +393,6 @@ def cmd_simulate(cfg: dict) -> int:
     dM, dE, dP = drift(lambda r: r.mass), drift(lambda r: r.energy), drift(lambda r: r.momentum)
     summary = {"final_t": traj.times[-1], "blowup": int(traj.blowup),
                "drift_M": dM, "drift_E": dE, "drift_P": dP}
-    run.metrics.update(summary)
     # every family: the run neither blew up nor stopped short of T, and kept
     # the mass, which the equation conserves for any data
     run.check("no_blowup", int(traj.blowup), 0, not traj.blowup)
@@ -419,17 +403,14 @@ def cmd_simulate(cfg: dict) -> int:
         exact = traveling_wave(_soliton_spec(cfg), grid, traj.times[-1])
         linf = float(np.max(np.abs(traj.final.values - exact.values)))
         summary["final_linf_error"] = linf
-        run.metrics["final_linf_error"] = linf
         run.check("soliton_linf_error", linf, 1e-4, linf < 1e-4)
         for name, val in (("E", dE), ("P", dP)):
             run.check(f"drift_{name}", val, 1e-8, val < 1e-8)
-    _write_csv(run.path("summary.csv"), ",".join(summary),
-               [tuple(repr(v) for v in summary.values())])
-    return run.finish()
+    run.metrics.update(summary)
+    run.table("summary.csv", ",".join(summary), [summary.values()])
 
 
-def cmd_zroot(cfg: dict) -> int:
-    run = Run("zroot", cfg)
+def cmd_zroot(run: Run, cfg: dict) -> None:
     rows = []
     for s in cfg["zroot"]["sigmas"]:
         try:
@@ -437,10 +418,9 @@ def cmd_zroot(cfg: dict) -> int:
             resid = abs(F_sigma(root, s))
         except NoBracket:  # a valid sigma whose root the bracket scan misses: a failed check
             root = resid = math.nan
-        rows.append((s, repr(root), repr(resid)))
+        rows.append((s, root, resid))
         run.check(f"zroot_residual_sigma_{s}", resid, 1e-6, resid < 1e-6)
-    _write_csv(run.path("zroot.csv"), "sigma,z0,absF", rows)
-    return run.finish()
+    run.table("zroot.csv", "sigma,z0,absF", rows)
 
 
 _COMMANDS = {
@@ -471,7 +451,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = resolve_config(args.config, args.overrides)
-        return _COMMANDS[args.command](cfg)
+        run = Run(args.command, cfg)
+        _COMMANDS[args.command](run, cfg)
+        return run.finish()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -184,9 +185,21 @@ def save_field(f: Field, path: str, t: float | None = None) -> None:
     }
     if t is not None:
         doc["t"] = t
-    text = json.dumps(doc)  # one C-encoded string; json.dump would stream through the Python encoder
-    with open(path, "w") as fh:
+    # one C-encoded string; json.dump would stream through the Python encoder
+    write_text(path, json.dumps(doc))
+
+
+def write_text(path, text: str) -> None:
+    """Write text to a tmp file beside path, then move it over path: no reader sees a partial file."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    with open(tmp, "w") as fh:
         fh.write(text)
+    os.replace(tmp, path)
+
+
+def write_table(path, header: str, rows) -> None:
+    """A CSV file: the header line, then rows of cells written by str, a float's shortest round-trip form."""
+    write_text(path, "".join([header + "\n", *(",".join(map(str, row)) + "\n" for row in rows)]))
 
 
 def load_field(path: str) -> Field:

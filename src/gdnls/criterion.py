@@ -136,20 +136,18 @@ def _table(sigma: float, L: float) -> _Table:
     # dropped; on a tiny box c^2/4 overflows, and those speeds are not candidates
     snapped = (unit * max(1, round(c / unit)) for c in np.geomspace(1.0, 1024.0, 40))
     speeds = dict.fromkeys(c for c in snapped if math.isfinite(c * c / 4))
-    raw = [Params(sigma, c * c / 4, c, 1.0, -0.5) for c in speeds]
-    raw += [Params(sigma, c * c / 4 + off, c, a, b)
-            for c in speeds for off in _OMEGA_OFFSETS for a, b in ((1.0, 0.0), (1.0, -0.5))]
-    kept, endpoints = [], 0
-    for i, p in enumerate(raw):
+    ends = [Params(sigma, c * c / 4, c, 1.0, -0.5) for c in speeds]  # each admissible: c > 0, beta < 0
+    interior = [Params(sigma, c * c / 4 + off, c, a, b)
+                for c in speeds for off in _OMEGA_OFFSETS for a, b in ((1.0, 0.0), (1.0, -0.5))]
+    kept = []
+    # one candidate per point: at huge c an interior offset can round away onto an endpoint
+    for p in dict.fromkeys(ends + interior):
         with contextlib.suppress(NotAdmissible, BadExponents):
             kept.append(validate_params(p))
-            # counted by position: at huge c an interior offset can round away, and
-            # that candidate, now on omega = c^2/4, stays an interior one
-            endpoints += i < len(speeds)
     level = np.array([mu_reference(p) for p in kept], dtype=float)
     # reshape keeps four (empty) columns when no candidate is left
     cols = np.array([(p.omega, p.c, p.alpha, p.beta) for p in kept], dtype=float).reshape(-1, 4).T
-    return _Table(tuple(kept), endpoints, level, Params(sigma, *cols))
+    return _Table(tuple(kept), len(ends), level, Params(sigma, *cols))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # moments that overflow score no candidate, silently

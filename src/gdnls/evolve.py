@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Params, validate_params
+from .core import Field, Params, validate_params, write_table
 from .criterion import Certificate
 # action_S, energy, mass, momentum and virial_K are unused here; bench/tracer.py patches them by name
 from .functionals import action_S, energy, mass, momentum, sample_moments, virial_K  # noqa: F401
@@ -315,10 +315,6 @@ def invariance_check(traj: Trajectory, cert: Certificate) -> InvarianceReport:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """One row per record; the blowup column reads 1 on the last row of a blown-up run."""
     last = len(traj.records) - 1
-    with open(path, "w") as fh:
-        fh.write("t,M,E,P,H1seminorm,shiftedH1,K,blowup\n")
-        for i, r in enumerate(traj.records):
-            fh.write(
-                f"{r.t!r},{r.mass!r},{r.energy!r},{r.momentum!r},"
-                f"{r.h1_seminorm!r},{r.shifted_h1!r},{r.virial!r},{int(traj.blowup and i == last)}\n"
-            )
+    write_table(path, "t,M,E,P,H1seminorm,shiftedH1,K,blowup",
+                ((r.t, r.mass, r.energy, r.momentum, r.h1_seminorm, r.shifted_h1, r.virial,
+                  int(traj.blowup and i == last)) for i, r in enumerate(traj.records)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gdnls
-from gdnls import Field, Grid, NotProjectable, SchemeConfig, mass, save_field
+from gdnls import BoundaryProximity, Field, Grid, NotProjectable, SchemeConfig, mass, save_field
 from gdnls import cli, criterion
 from gdnls.cli import main
 from helpers import best_endpoint_margin, count_ffts
@@ -44,6 +44,7 @@ def test_soliton_default_run(outdir):
     prof = (outdir / "profile.csv").read_text().splitlines()
     assert prof[0] == "x,re,im,abs"
     assert len(prof) == 1 + 4096
+    assert all(len([float(cell) for cell in row.split(",")]) == 4 for row in prof[1:])
 
 
 def test_soliton_takes_one_transform_pair_for_its_invariants(outdir, monkeypatch):
@@ -63,12 +64,28 @@ def test_soliton_checks_the_action_against_the_level_off_sigma_one(outdir):
 
 
 def test_soliton_massless_skips_decay_checks(outdir):
-    code = main(["soliton", "--params.omega", "0.25", "--params.c", "1.0",
-                 "--grid.N", "1024"])
+    with pytest.warns(BoundaryProximity):  # the profile reaches the box edge
+        code = main(["soliton", "--params.omega", "0.25", "--params.c", "1.0",
+                     "--grid.N", "1024"])
     assert code == 0
     man = _manifest(outdir)
     assert man["metrics"]["slow_decay"] is True
     assert man["checks"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["soliton", "--grid.N", "256"],
+    ["verify", "--grid.N", "64", "--verify.fields", "2"],
+    ["certify", "--grid.N", "256"],
+    ["minimize-mu", "--grid.N", "256"],
+    ["simulate", "--grid.N", "256", "--scheme.T", "0.01"],
+    ["zroot", "--zroot.sigmas", "[1.5]"],
+])
+def test_manifest_lists_every_output_and_no_tmp_file_is_left(outdir, argv):
+    assert main(argv) in (0, 1)
+    assert sorted(_manifest(outdir)["outputs"]) == sorted(p.name for p in outdir.iterdir()
+                                                          if p.name != "manifest.json")
+    assert not list(outdir.glob("*.tmp-*"))
 
 
 def test_config_errors_exit_2(outdir, tmp_path):

@@ -9,7 +9,11 @@ each hold one function at fixed arguments (see SCALARS): estimate_mu's level on
 are not pinned; at the roundoff floor they hang on rounding.  The last section,
 "integrate", holds three runs of the stepper (see _runs): every record column to
 1e-12 relative, the final field to 1e-12 absolute, blowup and the end time exactly.
-Rewrite the file with
+The last, "cli", holds nine command-line runs at small N (see CLI_RUNS): the exit
+code, every cell of every CSV and of certificate.json or notfound.json, and the
+manifest's check names, values and pass flags.  A number compares to 1e-12
+relative, or to 1e-14 absolute where it is a roundoff residual below 1e-12; text
+compares exactly.  Rewrite the file with
 
     PYTHONPATH=src python tests/test_golden.py --rewrite
 
@@ -20,6 +24,7 @@ import dataclasses
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +32,7 @@ import numpy as np
 from gdnls import (DiagnosticsRecord, F_sigma, Field, Grid, MinimizeConfig, Params, SchemeConfig,
                    SearchConfig, SolitonSpec, certify_global, corollary15_data, estimate_mu,
                    integrate, mu_reference, profile_phi, z0_root)
+from gdnls.cli import main
 from helpers import gaussian_with_mass
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -131,6 +137,45 @@ def _trajectories() -> dict:
     return out
 
 
+# name -> argv of one command-line run; each writes into its own directory
+CLI_RUNS = {
+    "soliton-sigma1": ["soliton", "--grid.N", "1024"],
+    "soliton-sigma2": ["soliton", "--grid.N", "1024", "--params.sigma", "2.0", "--params.c", "0.5"],
+    "verify": ["verify", "--grid.N", "256", "--verify.fields", "5"],
+    "certify-hit": ["certify", "--grid.N", "256", "--data.mass_pi", "3.9"],
+    "certify-miss-tiny-box": ["certify", "--grid.L", "1e-160", "--grid.N", "256"],
+    "minimize-mu": ["minimize-mu", "--grid.L", "62.83", "--grid.N", "256"],
+    "simulate-soliton": ["simulate", "--data.family", "soliton", "--grid.N", "1024",
+                         "--scheme.T", "0.1", "--sample_every", "10"],
+    "simulate-blowup": ["simulate", "--grid.N", "256", "--data.amplitude", "50",
+                        "--scheme.dt", "0.05", "--scheme.T", "1"],
+    "zroot-missed-sigma": ["zroot", "--zroot.sigmas", "[1.0001, 1.5]"],
+}
+
+
+def _cli_runs(root: Path) -> dict:
+    """name -> exit code, pinned files and manifest checks of each of CLI_RUNS, run under root.
+
+    A CSV is its rows of cells as text; profile.csv, the sampled soliton, and the field
+    files are left out.
+    """
+    out = {}
+    for name, argv in CLI_RUNS.items():
+        where = root / name
+        code = main([*argv, "--out", str(where)])
+        man = json.loads((where / "manifest.json").read_text())
+        files = {}
+        for file in man["outputs"]:
+            text = (where / file).read_text()
+            if file.endswith(".csv") and file != "profile.csv":
+                files[file] = [line.split(",") for line in text.splitlines()]
+            elif file in ("certificate.json", "notfound.json"):
+                files[file] = json.loads(text)
+        out[name] = {"exit": code, "files": files,
+                     "checks": [[c["name"], c["value"], c["passed"]] for c in man["checks"]]}
+    return out
+
+
 def _close(got: float, want: float) -> bool:
     if math.isnan(want) or math.isinf(want):
         return got == want or (math.isnan(got) and math.isnan(want))
@@ -139,7 +184,7 @@ def _close(got: float, want: float) -> bool:
 
 def test_certificates_match_golden():
     want = {k: v for k, v in json.loads(GOLDEN.read_text()).items()
-            if k not in SCALARS and k != "integrate"}
+            if k not in SCALARS and k not in ("integrate", "cli")}
     got = _outcomes()
     assert got.keys() == want.keys()
     for name, doc in want.items():
@@ -174,8 +219,39 @@ def test_trajectories_match_golden():
             assert err <= 1e-12, (name, part, err)
 
 
+def _same_output(got, want) -> bool:
+    """want's structure, with each number (or CSV cell that reads as one) within tolerance."""
+    if isinstance(want, dict):
+        return isinstance(got, dict) and got.keys() == want.keys() and all(
+            _same_output(got[key], val) for key, val in want.items())
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(map(_same_output, got, want)))
+    if isinstance(want, str):
+        try:
+            got_num, want_num = float(got), float(want)
+        except ValueError:
+            return got == want
+    elif isinstance(want, float):
+        got_num, want_num = got, want
+    else:  # an int, a bool or null: a count, a flag, or a non-finite value written as null
+        return got == want and type(got) is type(want)
+    return _close(got_num, want_num) or abs(want_num) < 1e-12 and abs(got_num - want_num) <= 1e-14
+
+
+def test_cli_outputs_match_golden(tmp_path):
+    want = json.loads(GOLDEN.read_text())["cli"]
+    got = _cli_runs(tmp_path)
+    assert got.keys() == want.keys()
+    for name, doc in want.items():
+        assert got[name]["exit"] == doc["exit"], name
+        for part in ("files", "checks"):
+            assert _same_output(got[name][part], doc[part]), (name, part, got[name][part])
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--rewrite"]:
         sys.exit(f"usage: {sys.argv[0]} --rewrite")
-    doc = {**_outcomes(), **_scalars(), "integrate": _trajectories()}
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {**_outcomes(), **_scalars(), "integrate": _trajectories(), "cli": _cli_runs(Path(tmp))}
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
