@@ -32,7 +32,7 @@ from .errors import (BadExponents, IncompatibleModulation, NoBracket, NotAdmissi
 from .evolve import SchemeConfig, integrate, write_trajectory_csv
 # action_S, energy and momentum are unused here; bench/tracer.py patches them by name
 from .functionals import action_S, energy, gn1_ratio, identity_suite, mass, moments, momentum  # noqa: F401
-from .variational import MinimizeConfig, estimate_mu, mu_reference
+from .variational import estimate_mu, mu_reference
 from .waves import (
     F_sigma,
     SolitonSpec,
@@ -66,8 +66,6 @@ DEFAULTS: dict = {
         "speed": 0.0,  # plane-wave factor e^(i*speed*x/2); must be box-periodic
         "file": None,
     },
-    "minimize": {"grad_tol": 1e-5},
-    "verify": {"fields": 30},
     "zroot": {"sigmas": [1.2, 1.5, 1.8]},
 }
 
@@ -305,7 +303,7 @@ def cmd_soliton(run: Run, cfg: dict) -> None:
 
 def cmd_verify(run: Run, cfg: dict) -> None:
     grid = _grid(cfg)
-    rng, modes = np.random.default_rng(0), 24  # one fixed corpus, spectra on |m| <= 24
+    rng, modes = np.random.default_rng(0), 24  # one fixed corpus of 30 fields, spectra on |m| <= 24
     if grid.N < 64:  # the smallest power of two with room for 2 * modes + 1 distinct modes
         raise ConfigError(f"verify needs grid.N >= 64 for its {2 * modes + 1}-mode corpus, got {grid.N}")
     param_pool = [
@@ -316,7 +314,7 @@ def cmd_verify(run: Run, cfg: dict) -> None:
         Params(3.0, 1.0, 0.0, 1.0, 1.0),
     ]
     worst = 0.0
-    for i in range(cfg["verify"]["fields"]):
+    for i in range(30):
         coef = np.zeros(grid.N, complex)
         idx = np.concatenate([np.arange(1, modes + 1), np.arange(grid.N - modes, grid.N)])
         coef[idx] = rng.standard_normal(2 * modes) + 1j * rng.standard_normal(2 * modes)
@@ -360,9 +358,7 @@ def cmd_certify(run: Run, cfg: dict) -> None:
 
 def cmd_minimize_mu(run: Run, cfg: dict) -> None:
     p = _params(cfg)
-    with _config_input():
-        mc = MinimizeConfig(grad_tol=cfg["minimize"]["grad_tol"], grid=_grid(cfg))
-    est = estimate_mu(p, mc)
+    est = estimate_mu(p, _grid(cfg))
     ref = mu_reference(p)
     rel = abs(est.mu - ref) / abs(ref)
     run.table("mu.csv", "mu,reference,rel_err,iterations,converged",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -43,9 +44,9 @@ class Grid:
     def __post_init__(self) -> None:
         if not (self.L > 0 and math.isfinite(self.L)):
             raise ValueError(f"box length must be positive and finite, got L={self.L}")
-        n = self.N
-        if n < 16 or (n & (n - 1)) != 0:
-            raise ValueError(f"N must be a power of two >= 16, got N={n}")
+        n = self.N  # an int, not a bool or a float that happens to be whole
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 16 or n & (n - 1):
+            raise ValueError(f"N must be a power of two >= 16, got N={n!r}")
 
     @cached_property
     def dx(self) -> float:
@@ -205,6 +206,6 @@ def write_table(path, header: str, rows) -> None:
 def load_field(path: str) -> Field:
     with open(path) as fh:
         doc = json.load(fh)
-    grid = Grid(float(doc["L"]), int(doc["N"]))
+    grid = Grid(float(doc["L"]), doc["N"])  # Grid refuses an N that is not an int
     values = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
     return Field(grid, values)

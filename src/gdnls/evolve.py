@@ -13,6 +13,7 @@ diagnostics record none.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class SchemeConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (self.T > 0 and math.isfinite(self.T)):
             raise ValueError(f"T must be positive and finite, got {self.T}")
+        if not isinstance(self.adaptive, bool):
+            raise ValueError(f"adaptive must be True or False, got {self.adaptive!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,8 +231,8 @@ def integrate(
     the last good field and its record are kept.  Overflow raises no warning.
     """
     validate_params(p)
-    if sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
+    if isinstance(sample_every, bool) or not isinstance(sample_every, numbers.Integral) or sample_every < 1:
+        raise ValueError(f"sample_every must be an int of at least 1, got {sample_every!r}")
     if cert is not None and cert.params.sigma != p.sigma:
         raise ValueError(f"certificate sigma={cert.params.sigma} differs from sigma={p.sigma}")
     diag_p = cert.params if cert is not None else p

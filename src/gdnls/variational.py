@@ -30,37 +30,15 @@ from .functionals import action_S, moments, sample_moments, tilde_functionals  #
 from .waves import J_nu, SolitonSpec, closed_form_invariants, profile_phi
 
 __all__ = [
-    "MinimizeConfig",
     "MuEstimate",
     "homogeneity_split",
     "estimate_mu",
     "mu_reference",
 ]
 
-
-@dataclass(frozen=True)
-class MinimizeConfig:
-    """Stopping rule, starting field and grid for the projected descent.
-
-    The step is not a setting.  The first is 1, the natural scale of the H^1
-    gradient step (the preconditioned Laplacian part has symbol
-    k^2 / (1 + k^2) < 1 on every grid).  Each later one is the preconditioned
-    Barzilai-Borwein step <s, (1 + k^2) s> / <s, y> of the last move s and
-    gradient change y, or 1 when <s, y> <= 0, clipped to [1e-3, 1e3] and to
-    twice the last accepted step.  Backtracking halves it until a move
-    decreases the action.
-    """
-
-    max_iters: int = 60_000
-    grad_tol: float = 1e-5
-    initial: Field | None = None
-    grid: Grid | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+# estimate_mu's stopping rule, stated in its docstring
+_GRAD_TOL = 1e-5
+_MAX_ITERS = 60_000
 
 
 @dataclass(frozen=True)
@@ -97,15 +75,25 @@ def _default_initial(p: Params, grid: Grid) -> Field:
     return Field(grid, psi + bump * np.exp(1j * k5 * x))
 
 
-def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate:
+def estimate_mu(p: Params, grid: Grid | None = None) -> MuEstimate:
     """Preconditioned projected gradient descent for the constrained action level.
 
+    Starts from an inflated, perturbed solitary wave on grid (None: (20 pi, 512)).
     Assembles the L^2 gradient of the modulation-removed action spectrally,
     steps along its H^1 Sobolev form ifft(fft(grad) / (1 + k^2)), reprojects
     after every step, and stops once the L^2 norm of the unpreconditioned
-    gradient falls below grad_tol * max(1, |action|).  The action values
-    recorded in history are post-projection and non-increasing up to roundoff;
-    grad_norms holds the norm tested at each iteration.
+    gradient falls below 1e-5 * max(1, |action|), or after 60,000 iterations.
+    The action values recorded in history are post-projection and
+    non-increasing up to roundoff; grad_norms holds the norm tested at each
+    iteration.
+
+    The step is not a setting.  The first is 1, the natural scale of the H^1
+    gradient step (the preconditioned Laplacian part has symbol
+    k^2 / (1 + k^2) < 1 on every grid).  Each later one is the preconditioned
+    Barzilai-Borwein step <s, (1 + k^2) s> / <s, y> of the last move s and
+    gradient change y, or 1 when <s, y> <= 0, clipped to [1e-3, 1e3] and to
+    twice the last accepted step.  Backtracking halves it until a move
+    decreases the action.
 
     The iterate is carried as samples, spectrum and derivative together.  All
     three move linearly along the step and scale with the projection, so a
@@ -115,10 +103,7 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
     derivative back to x.
     """
     validate_params(p)
-    if cfg.initial is not None:
-        psi = cfg.initial
-    else:
-        psi = _default_initial(p, cfg.grid if cfg.grid is not None else Grid(20 * math.pi, 512))
+    psi = _default_initial(p, grid if grid is not None else Grid(20 * math.pi, 512))
     g = psi.grid
     s = p.sigma
     b = p.omega - p.c**2 / 4
@@ -147,16 +132,16 @@ def estimate_mu(p: Params, cfg: MinimizeConfig = MinimizeConfig()) -> MuEstimate
     it = trials = 0
     eta_last = 1.0
     prev = None  # (vh, grad_h) of the previous iterate
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         w = np.abs(v) ** (2 * s)
         grad_h = kb * vh + np.fft.fft(w * (0.5 * p.c * v - 1j * vx))
         gnorm = math.sqrt(dx / g.N * float(np.vdot(grad_h, grad_h).real))
         grad_norms.append(gnorm)
-        if gnorm < cfg.grad_tol * max(1.0, abs(vals.action)):
+        if gnorm < _GRAD_TOL * max(1.0, abs(vals.action)):
             converged = True
             break
         dh = np.divide(grad_h, h1, out=pair[0])
-        # Barzilai-Borwein step in the H^1 metric; see MinimizeConfig for the guards
+        # Barzilai-Borwein step in the H^1 metric, with the guards of the docstring
         eta = 1.0
         if prev is not None:
             sh, yh = vh - prev[0], grad_h - prev[1]

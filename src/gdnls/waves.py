@@ -86,7 +86,8 @@ def _amplitude(spec: SolitonSpec, y: np.ndarray) -> np.ndarray:
     return _amplitude_power(spec, y) ** (1.0 / (2 * spec.sigma))
 
 
-def _warn_edge(f: Field, spec: SolitonSpec, what: str) -> None:
+def _warn_edge(f: Field, spec: SolitonSpec, what: str, stacklevel: int = 3) -> None:
+    """Warn when f has not decayed at the box edge, at the frame stacklevel up: the sampler's caller."""
     tol = _EDGE_TOL_SLOW if spec.massless else _EDGE_TOL
     frac = f.boundary_fraction()
     if frac > tol:
@@ -94,7 +95,7 @@ def _warn_edge(f: Field, spec: SolitonSpec, what: str) -> None:
             f"{what}: boundary magnitude {frac:.2e} of max exceeds {tol:.0e}; "
             "enlarge the box",
             BoundaryProximity,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -125,7 +126,7 @@ def _sampled_wave(spec: SolitonSpec, grid: Grid, shift: float, phase0: float) ->
     y = grid.x - shift
     phase = 0.5 * spec.c * y - _phase_integral(spec, y) + phase0
     f = Field(grid, _amplitude(spec, y) * np.exp(1j * phase))
-    _warn_edge(f, spec, "profile")
+    _warn_edge(f, spec, "profile", stacklevel=4)  # past profile_phi or traveling_wave
     return f
 
 

@@ -16,7 +16,6 @@ from gdnls import (
     Certificate,
     Field,
     Grid,
-    MinimizeConfig,
     Params,
     SchemeConfig,
     SearchConfig,
@@ -132,7 +131,7 @@ def test_acceptance_5_mu_estimation():
         mus = []
         for a, b in pairs:
             p = Params(1.0, w, c, a, b)
-            est = estimate_mu(p, MinimizeConfig())
+            est = estimate_mu(p)
             assert est.converged, (w, c, a, b)
             ref = mu_reference(p)
             worst_ref = max(worst_ref, abs(est.mu - ref) / ref)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gdnls
-from gdnls import BoundaryProximity, Field, Grid, NotProjectable, SchemeConfig, mass, save_field
+from gdnls import BoundaryProximity, Field, Grid, NotProjectable, SchemeConfig, identity_suite, mass, save_field
 from gdnls import cli, criterion
 from gdnls.cli import main
 from helpers import best_endpoint_margin, count_ffts
@@ -75,7 +75,7 @@ def test_soliton_massless_skips_decay_checks(outdir):
 
 @pytest.mark.parametrize("argv", [
     ["soliton", "--grid.N", "256"],
-    ["verify", "--grid.N", "64", "--verify.fields", "2"],
+    ["verify", "--grid.N", "64"],
     ["certify", "--grid.N", "256"],
     ["minimize-mu", "--grid.N", "256"],
     ["simulate", "--grid.N", "256", "--scheme.T", "0.01"],
@@ -100,7 +100,7 @@ def test_config_errors_exit_2(outdir, tmp_path):
 def test_retired_scheme_and_descent_keys_are_unknown(outdir, capsys):
     # dealiasing, the CFL fraction and the descent step are fixed by the schemes;
     # the certificate scan is fixed, and certify reads sigma and the hint from params and data;
-    # the verify corpus, the descent's iteration cap and the root tolerances are library defaults;
+    # the verify corpus, the descent's stopping rule and the root tolerances are fixed;
     # a boost q is data.speed 2q
     search = (("sigma", "1"), ("c_min", "1.0"), ("c_max", "2048"), ("points", "80"),
               ("strategies", '["massless-scan"]'), ("strategy_hint", "modulation"))
@@ -108,8 +108,10 @@ def test_retired_scheme_and_descent_keys_are_unknown(outdir, capsys):
                  ["simulate", "--scheme.cfl_safety", "0.3"],
                  ["minimize-mu", "--minimize.step", "0.5"],
                  ["minimize-mu", "--minimize.max_iters", "100"],
+                 ["minimize-mu", "--minimize.grad_tol", "1e-6"],
                  ["verify", "--seed", "1"],
                  ["verify", "--verify.modes", "12"],
+                 ["verify", "--verify.fields", "5"],
                  ["zroot", "--zroot.z_tol", "1e-6"],
                  ["zroot", "--zroot.quad_tol", "1e-10"],
                  ["certify", "--data.boost", "0.5"],
@@ -139,15 +141,11 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
         ["simulate", "--sample_every", "0", "--grid.N", "512"],
         ["simulate", "--data.family", "file", "--data.file", str(tmp_path / "absent.json")],
         ["certify", "--params.sigma", "0.5", "--grid.N", "512"],
-        ["minimize-mu", "--minimize.grad_tol", "0"],
-        ["verify", "--verify.fields", "many"],
         ["zroot", "--zroot.sigmas", "[2.5]"],
         # initial data the config builds must be finite, and mass_pi needs nonzero data
         ["certify", "--data.width", "0", "--grid.N", "256"],
         ["certify", "--data.amplitude", "0", "--data.mass_pi", "3", "--grid.N", "256"],
         # a check over nothing would pass vacuously
-        ["verify", "--verify.fields", "0"],
-        ["verify", "--verify.fields", "-3"],
         ["zroot", "--zroot.sigmas", "[]"],
     )
     # these messages name the key
@@ -165,8 +163,6 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
         (["certify", "--data.amplitude", "NaN", "--grid.N", "256"], "data.amplitude"),
         (["simulate", "--data.amplitude", "NaN", "--grid.N", "256", "--scheme.T", "0.01"],
          "data.amplitude"),
-        # an infinite tolerance stopped the descent at its first test, and was recorded
-        (["minimize-mu", "--minimize.grad_tol", "Infinity"], "minimize.grad_tol"),
         (["certify", "--data.mass_pi", "Infinity", "--grid.N", "256"], "data.mass_pi"),
         (["zroot", "--zroot.sigmas", "[1.5, NaN]"], "zroot.sigmas"),
         (["simulate", str(nan_dt), "--grid.N", "256"], "scheme.dt"),
@@ -178,7 +174,6 @@ def test_bad_input_exits_2_where_it_is_read(outdir, tmp_path, capsys):
         (["simulate", "--grid.N", "256.9", "--scheme.T", "0.01"], "grid.N"),
         (["simulate", "--sample_every", "2.5", "--grid.N", "256", "--scheme.T", "0.01"],
          "sample_every"),
-        (["verify", "--verify.fields", "1.5"], "verify.fields"),
         # each value has the kind of its default, in a config file as on the command line
         (["certify", str(text_sigma), "--grid.N", "256"], "params.sigma"),
         (["zroot", str(number_out)], "out"),
@@ -239,7 +234,7 @@ def test_unexpected_error_exits_3_with_traceback(outdir, monkeypatch, capsys):
 
 
 def test_verify_randomized_corpus(outdir):
-    assert main(["verify", "--verify.fields", "8", "--grid.N", "1024"]) == 0
+    assert main(["verify", "--grid.N", "1024"]) == 0
     rows = (outdir / "checks.csv").read_text().splitlines()
     assert rows[0] == "check,value,threshold,status"
     assert all(r.endswith("pass") for r in rows[1:])
@@ -248,8 +243,23 @@ def test_verify_randomized_corpus(outdir):
     assert "gn1_ratio_at_Q_minus_1" in names
 
 
+def test_verify_checks_a_fixed_corpus_of_30_fields(outdir, monkeypatch):
+    calls = []
+
+    def counted(u, p):
+        calls.append(p)
+        return identity_suite(u, p)
+
+    monkeypatch.setattr(cli, "identity_suite", counted)
+    main(["verify", "--grid.N", "64"])  # the soliton checks fail on so coarse a grid
+    assert len(calls) == 30
+    man = _manifest(outdir)
+    assert "verify" not in man["config"]
+    assert [c["passed"] for c in man["checks"] if c["name"] == "identity_suite_worst_rel"] == [True]
+
+
 def test_verify_is_deterministic(outdir):
-    args = ["verify", "--verify.fields", "6", "--grid.N", "1024"]
+    args = ["verify", "--grid.N", "1024"]
     assert main(args) == 0
     first = (outdir / "checks.csv").read_bytes()
     assert main(args) == 0
@@ -340,7 +350,8 @@ def test_minimize_mu_default_grid_converges(tmp_path):
     assert metrics["trials"] >= metrics["iterations"] - 1
     # the descent trace: the last gradient norm passed the stopping test, and
     # backtracks are the trials that were not accepted moves
-    assert metrics["grad_norm"] < man["config"]["minimize"]["grad_tol"] * max(1.0, abs(metrics["mu"]))
+    assert "minimize" not in man["config"]
+    assert metrics["grad_norm"] < 1e-5 * max(1.0, abs(metrics["mu"]))  # the fixed stopping rule
     assert 0 <= metrics["backtracks"] <= metrics["trials"] - (metrics["iterations"] - 1)
 
 

@@ -5,6 +5,7 @@ no endpoint mismatch pollutes the ratio.
 """
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -23,8 +24,10 @@ from gdnls import (
     certify_global,
     integrate,
     invariance_check,
+    load_field,
     mass,
     profile_phi,
+    save_field,
     spectral_derivative,
     traveling_wave,
     write_trajectory_csv,
@@ -39,7 +42,32 @@ def test_scheme_config_validation():
             SchemeConfig(dt=bad, T=1.0)
         with pytest.raises(ValueError):
             SchemeConfig(dt=1e-3, T=bad)
+    # a switch is a bool: "no" is truthy and took the adaptive path
+    for bad in ("no", 1, None):
+        with pytest.raises(ValueError, match="adaptive"):
+            SchemeConfig(dt=1e-3, T=1.0, adaptive=bad)
     assert [f.name for f in dataclasses.fields(SchemeConfig)] == ["dt", "T", "adaptive"]
+
+
+def test_integrate_and_grid_take_int_counts(tmp_path):
+    # 2.5 recorded every 5 steps, Grid(60, 64.0) raised a TypeError from n & (n - 1),
+    # and a field file's N of 64.9 or "64" was read as 64
+    g = Grid(60.0, 64)
+    u0 = Field(g, np.exp(-(g.x**2)))
+    for bad in (0, -1, 2.5, 2.0, True):
+        with pytest.raises(ValueError, match="sample_every"):
+            integrate(u0, SchemeConfig(1e-3, 1e-2), Params(1.0, 1.0, 0.0), sample_every=bad)
+    for bad in (64.0, 64.5, True):
+        with pytest.raises(ValueError, match="N must be"):
+            Grid(60.0, bad)
+    assert Grid(60.0, np.int64(64)).N == 64
+    path = tmp_path / "u.json"
+    save_field(u0, str(path))
+    doc = json.loads(path.read_text())
+    for bad in (64.9, "64"):
+        path.write_text(json.dumps({**doc, "N": bad}))
+        with pytest.raises(ValueError, match="N must be"):
+            load_field(str(path))
 
 
 def test_linear_regime_matches_free_propagator():

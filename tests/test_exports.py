@@ -11,7 +11,7 @@ EXPORTED_BEFORE = {
     "BadExponents", "BoundaryProximity", "Certificate", "ClosedFormInvariants",
     "DiagnosticsRecord", "F_sigma", "Field", "GdnlsError", "Grid",
     "IdentityReport", "IncompatibleModulation", "InvarianceReport",
-    "Membership", "MinimizeConfig", "Moments", "MuEstimate", "NoBracket", "NotAdmissible",
+    "Membership", "Moments", "MuEstimate", "NoBracket", "NotAdmissible",
     "NotFound", "NotProjectable", "Params", "SchemeConfig",
     "SearchConfig", "SigmaUnsupported", "SolitonSpec", "TildeValues", "Trajectory",
     "ZeroField", "action_S", "certify_global", "closed_form_invariants",
@@ -35,13 +35,15 @@ EXPORTED_BEFORE = {
 # own), the Agmon ratio, which only its own tests called, and the Guo-Wu gradient
 # bound with its error, a looser duplicate of the bound invariance_check reads
 # off a negative-momentum certificate, require_finite, whose check every Field
-# now makes when it is built, and nonlinear_N, which only its own tests called
-# (Moments.nonlinear holds the same integral)
+# now makes when it is built, nonlinear_N, which only its own tests called
+# (Moments.nonlinear holds the same integral), and MinimizeConfig, whose stopping
+# rule and starting field no caller set (estimate_mu takes only its grid)
 RETIRED = {
     "I_functional", "gauge_to_w", "gauge_from_w", "calE", "calP", "gw_momentum_floor",
     "cumulative_integral", "first_integral_residual", "modulus_alignment_error",
     "QuadratureFailure", "Overflow", "gn_checks", "GNReport", "agmon_ratio",
     "guo_wu_bound", "guo_wu_bound_values", "Inapplicable", "require_finite", "nonlinear_N",
+    "MinimizeConfig",
 }
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gdnls import (DiagnosticsRecord, F_sigma, Field, Grid, MinimizeConfig, Params, SchemeConfig,
+from gdnls import (DiagnosticsRecord, F_sigma, Field, Grid, Params, SchemeConfig,
                    SearchConfig, SolitonSpec, certify_global, corollary15_data, estimate_mu,
                    integrate, mu_reference, profile_phi, z0_root)
 from gdnls.cli import main
@@ -80,7 +80,7 @@ def _outcomes() -> dict:
 
 
 def _descent_level(*params: float) -> float:
-    return estimate_mu(Params(*params), MinimizeConfig(grid=Grid(20 * math.pi, 512))).mu
+    return estimate_mu(Params(*params), Grid(20 * math.pi, 512)).mu
 
 
 # section -> (function, relative tolerance, argument tuples); each entry pins one value.
@@ -141,7 +141,7 @@ def _trajectories() -> dict:
 CLI_RUNS = {
     "soliton-sigma1": ["soliton", "--grid.N", "1024"],
     "soliton-sigma2": ["soliton", "--grid.N", "1024", "--params.sigma", "2.0", "--params.c", "0.5"],
-    "verify": ["verify", "--grid.N", "256", "--verify.fields", "5"],
+    "verify": ["verify", "--grid.N", "256"],
     "certify-hit": ["certify", "--grid.N", "256", "--data.mass_pi", "3.9"],
     "certify-miss-tiny-box": ["certify", "--grid.L", "1e-160", "--grid.N", "256"],
     "minimize-mu": ["minimize-mu", "--grid.L", "62.83", "--grid.N", "256"],

@@ -84,6 +84,15 @@ def test_edge_tolerance_follows_the_decay_regime():
     assert 1e-10 < fast.boundary_fraction() < 1e-6
 
 
+@pytest.mark.parametrize("sample, args", [(profile_Phi, ()), (profile_phi, ()), (traveling_wave, (0.5,))],
+                         ids=["profile_Phi", "profile_phi", "traveling_wave"])
+def test_boundary_warning_points_at_the_caller(sample, args):
+    # the default filter shows a warning once per location, so it must be the caller's line
+    with pytest.warns(BoundaryProximity) as rec:
+        sample(SolitonSpec(1.0, 0.25, 1.0), Grid(60.0, 1024), *args)
+    assert rec[0].filename == __file__
+
+
 def test_elliptic_residual_small_across_sigma():
     g = Grid(60.0, 2048)
     for s, w, c in ((1.0, 1.0, 0.0), (2.0, 1.0, 0.5), (3.0, 1.0, 0.5), (1.5, 2.0, -1.0)):
