@@ -7,14 +7,21 @@ nonlinear evaluation.  Diagnostics track the conserved quantities, both
 gradient norms, and the virial sign and action that the certified good set
 preserves.  The stepper holds the spectrum together with its samples u and u_x,
 so a step costs 12 transforms in 8 calls, with no allocation per step, and a
-diagnostics record none.
+diagnostics record none.  The time loop is one generator, _march: integrate
+reads it once for the records, and a trajectory holds only its initial and
+final fields, so its memory is O(N) plus the records; any other field is
+rebuilt by marching again.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+import operator
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -35,6 +42,9 @@ __all__ = [
 
 _AMPLITUDE_CAP = 1e6  # growth factor over the initial sup norm that we call blow-up
 _CFL_SAFETY = 0.5  # adaptive runs cap dt at this fraction of dx / max(1, |u|^(2s))
+_QUIET = {"over": "ignore", "invalid": "ignore"}  # a blowing-up march overflows silently
+
+_Sample = tuple[float, np.ndarray, np.ndarray]  # (t, u, u_x) at one record
 
 
 @dataclass(frozen=True)
@@ -68,18 +78,66 @@ class DiagnosticsRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    fields: list[Field]
+    """The initial and final fields of a run and its records; O(N) memory plus the records.
+
+    fields is a read-only sequence with one field per record, made on demand by
+    marching again from initial: fields[0] is initial and fields[-1] is final,
+    at no cost, and any other item, or one pass over them all, costs a march up
+    to it.  The replayed fields are bit-identical to the marched ones.
+    """
+
+    initial: Field
+    final: Field
     records: list[DiagnosticsRecord]
     frame: Params  # the parameters the frame-dependent record columns are read at
     blowup: bool  # a step left the finite range or passed the growth cap; the records stop there
+    _rerun: Callable[[], Iterator[_Sample]] = field(repr=False, compare=False)  # a fresh march
 
     @property
     def times(self) -> list[float]:
         return [r.t for r in self.records]
 
     @property
-    def final(self) -> Field:
-        return self.fields[-1]
+    def fields(self) -> Sequence[Field]:
+        return _Fields(self)
+
+
+class _Fields(Sequence):
+    """The field at each record of a trajectory, marched again from its initial field."""
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.records)
+
+    def __iter__(self) -> Iterator[Field]:
+        traj = self._traj
+        yield traj.initial
+        if len(self) == 1:
+            return
+        grid, march = traj.initial.grid, traj._rerun()
+        for i, record in enumerate(islice(traj.records, len(self) - 1)):
+            with np.errstate(**_QUIET):  # held per sample, so it never leaks to the reader
+                t, u, _ = next(march, (None, None, None))
+            if t != record.t:
+                raise RuntimeError(f"the replay reached t={t} at record {i}, which has t={record.t}")
+            if i:
+                yield Field(grid, u)
+        yield traj.final
+
+    def __getitem__(self, key):
+        n = len(self)
+        if isinstance(key, slice):
+            wanted = range(*key.indices(n))
+            kept = {i: f for i, f in enumerate(islice(self, max(wanted, default=-1) + 1)) if i in wanted}
+            return [kept[i] for i in wanted]
+        i = operator.index(key)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"field index {key} out of range for {n} records")
+        return self._traj.final if i == n - 1 else next(islice(self, i, None))
 
 
 @dataclass(frozen=True)
@@ -209,7 +267,49 @@ def _diagnostics(
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _march(u0: Field, cfg: SchemeConfig, sigma: float, sample_every: int) -> Iterator[_Sample]:
+    """Yield (t, u, u_x) at t = 0, every sample_every steps and at the last state; return blowup.
+
+    Steps, stops and blow-up are as integrate describes.  The first u is u0's
+    own values; every other pair is the stepper's held samples, valid until the
+    generator resumes.
+    """
+    grid = u0.grid
+    stepper = _Stepper(grid, sigma, cfg.dt)
+    stepper.load(np.fft.fft(u0.values))
+    amp0 = float(np.max(np.abs(u0.values))) or 1.0  # zero data never trips the growth cap
+    yield 0.0, u0.values, stepper.ux
+
+    # the budget only binds when the CFL cap collapses dt (clean truncation, not an error)
+    budget = 20 * max(1, round(cfg.T / cfg.dt))
+    t = sampled = 0.0
+    n, blowup = 0, False
+    while n < budget and cfg.T - t > 1e-12 * cfg.T:
+        amp = math.sqrt(float(np.max(stepper.a2)))  # sup norm of the state before the step
+        left = cfg.T - t
+        dt = left if cfg.dt - left > 1e-12 * cfg.T else cfg.dt
+        if cfg.adaptive:
+            # dx / max(1, amp^(2s)) in log form, which no amplitude overflows
+            dt = min(dt, _CFL_SAFETY * grid.dx * math.exp(-2 * sigma * math.log(max(amp, 1.0))))
+        if dt != stepper.dt:
+            stepper.set_dt(dt)
+        if not stepper.advance():
+            blowup = True  # the stepper still holds the last finite state, the one at t
+            break
+        n += 1
+        t = min(t + dt if cfg.adaptive else n * cfg.dt, cfg.T)
+        if amp > _AMPLITUDE_CAP * amp0:
+            blowup = True
+            break
+        if n % sample_every == 0:
+            sampled = t
+            yield t, stepper.u, stepper.ux
+    if sampled != t:
+        yield t, stepper.u, stepper.ux
+    return blowup
+
+
+@np.errstate(**_QUIET)
 def integrate(
     u0: Field,
     cfg: SchemeConfig,
@@ -228,7 +328,9 @@ def integrate(
     adaptive run stops short only at its budget of 20 round(T/dt) steps.
     Blow-up (a step that leaves the finite range, or sup-norm growth beyond
     1e6 of the initial) truncates the trajectory and sets Trajectory.blowup;
-    the last good field and its record are kept.  Overflow raises no warning.
+    the last good state is the final field and has the last record.  Overflow
+    raises no warning.  Only u0, the final field and the records are kept;
+    Trajectory.fields marches again for any other field.
     """
     validate_params(p)
     if isinstance(sample_every, bool) or not isinstance(sample_every, numbers.Integral) or sample_every < 1:
@@ -237,44 +339,18 @@ def integrate(
         raise ValueError(f"certificate sigma={cert.params.sigma} differs from sigma={p.sigma}")
     diag_p = cert.params if cert is not None else p
     grid = u0.grid
-    stepper = _Stepper(grid, p.sigma, cfg.dt)
-    stepper.load(np.fft.fft(u0.values))
-    amp0 = float(np.max(np.abs(u0.values)))
-
-    fields = [u0]
-    records = [_diagnostics(u0.values, stepper.ux, grid.dx, 0.0, diag_p)]
-    if amp0 == 0.0:
-        amp0 = 1.0  # zero data never trips the growth cap
-
-    def sample(t: float) -> None:
-        fields.append(Field(grid, stepper.u))
-        records.append(_diagnostics(stepper.u, stepper.ux, grid.dx, t, diag_p))
-
-    # the budget only binds when the CFL cap collapses dt (clean truncation, not an error)
-    budget = 20 * max(1, round(cfg.T / cfg.dt))
-    t, n, blowup = 0.0, 0, False
-    while n < budget and cfg.T - t > 1e-12 * cfg.T:
-        amp = math.sqrt(float(np.max(stepper.a2)))  # sup norm of the state before the step
-        left = cfg.T - t
-        dt = left if cfg.dt - left > 1e-12 * cfg.T else cfg.dt
-        if cfg.adaptive:
-            # dx / max(1, amp^(2s)) in log form, which no amplitude overflows
-            dt = min(dt, _CFL_SAFETY * grid.dx * math.exp(-2 * p.sigma * math.log(max(amp, 1.0))))
-        if dt != stepper.dt:
-            stepper.set_dt(dt)
-        if not stepper.advance():
-            blowup = True  # the stepper still holds the last finite state, the one at t
+    rerun = partial(_march, u0, cfg, p.sigma, sample_every)
+    march, records = rerun(), []
+    while True:
+        try:
+            t, u, ux = next(march)
+        except StopIteration as stop:
+            blowup = stop.value
             break
-        n += 1
-        t = min(t + dt if cfg.adaptive else n * cfg.dt, cfg.T)
-        if amp > _AMPLITUDE_CAP * amp0:
-            blowup = True
-            break
-        if n % sample_every == 0:
-            sample(t)
-    if records[-1].t != t:
-        sample(t)
-    return Trajectory(fields, records, diag_p, blowup)
+        records.append(_diagnostics(u, ux, grid.dx, t, diag_p))
+    # u is the last sample's, which the stepper still holds once the march has returned
+    final = u0 if len(records) == 1 else Field(grid, u)
+    return Trajectory(u0, final, records, diag_p, blowup, rerun)
 
 
 def invariance_check(traj: Trajectory, cert: Certificate) -> InvarianceReport:

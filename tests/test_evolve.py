@@ -7,7 +7,9 @@ no endpoint mismatch pollutes the ratio.
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -373,9 +375,11 @@ def test_samples_are_views_that_never_leak_into_the_trajectory(monkeypatch):
     traj, again = (integrate(phi, SchemeConfig(dt=1e-3, T=0.01), Params(1.0, 1.0, 0.5),
                              sample_every=1) for _ in range(2))
     assert len(made) == 2 and len(traj.fields) == 11
+    fields = list(traj.fields)  # one replay, whose stepper joins the two runs' in made
     held = [a for st in made for a in vars(st).values() if isinstance(a, np.ndarray)]
-    for i, f in enumerate(traj.fields):
-        assert not any(np.shares_memory(f.values, h.values) for h in traj.fields[i + 1:])
+    assert len(made) == 3
+    for i, f in enumerate(fields):
+        assert not any(np.shares_memory(f.values, h.values) for h in fields[i + 1:])
         assert not any(np.shares_memory(f.values, a) for a in held)
     assert traj.records == again.records
     assert all(np.array_equal(f.values, h.values) for f, h in zip(traj.fields, again.fields))
@@ -396,7 +400,8 @@ def test_load_holds_a_copy_and_its_exact_samples():
 
 
 def test_invariance_drift_from_records_matches_the_fields():
-    # acceptance 8's setup: the drift read from the records is the drift of the kept fields
+    # acceptance 8's setup: the drift read from the records is the drift of the fields,
+    # replayed in one pass (fields[0] is the initial field and costs no march)
     g = Grid(60.0, 1024)
     u = Field(g, np.exp(-(g.x**2)).astype(complex))
     u = u.with_values(u.values * math.sqrt(3.9 * math.pi / mass(u)))
@@ -410,3 +415,121 @@ def test_invariance_drift_from_records_matches_the_fields():
     assert abs(rep.action_drift - drift) <= 1e-12 * (abs(s0) + 1.0)
     assert traj.records[0].action == s0
 
+
+def test_a_long_run_holds_its_end_fields_and_records_only():
+    # 2,001 records at N = 1024: a field kept per record held 32 MB
+    g = Grid(60.0, 1024)
+    u0 = Field(g, np.exp(-(g.x**2)).astype(complex))
+    tracemalloc.start()
+    try:
+        traj = integrate(u0, SchemeConfig(dt=1e-3, T=2.0), Params(1.0, 1.0, 0.0), sample_every=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.records) == len(traj.fields) == 2001
+    assert held < 4e6 and peak < 4e6, (held, peak)
+
+
+def test_fields_view_indexes_and_slices_like_a_list():
+    g = Grid(60.0, 256)
+    phi = profile_phi(SolitonSpec(1.0, 1.0, 0.5), g)
+    traj = integrate(phi, SchemeConfig(dt=1e-3, T=0.01), Params(1.0, 1.0, 0.5), sample_every=1)
+    fields = traj.fields
+    assert isinstance(fields, Sequence) and len(fields) == 11
+    assert fields[0] is fields[-11] is traj.initial is phi
+    assert fields[-1] is fields[10] is traj.final
+    listed = list(fields)
+    assert len(listed) == 11 and listed[0] is phi and listed[-1] is traj.final
+    for i in (1, 5, -2, -10):
+        assert np.array_equal(fields[i].values, listed[i].values)
+    for key in (slice(2, 8, 3), slice(None, None, -4), slice(5, 2), slice(-3, None), slice(None)):
+        got, want = fields[key], listed[key]
+        assert len(got) == len(want)
+        assert all(np.array_equal(f.values, h.values) for f, h in zip(got, want))
+    assert fields[-1:][0] is traj.final
+    for bad in (11, -12):
+        with pytest.raises(IndexError):
+            fields[bad]
+    with pytest.raises(TypeError):
+        fields[1.0]
+    with pytest.raises(TypeError):
+        fields[1] = phi
+    # the replay's errstate is held per sample and never reaches the reader
+    before = np.geterr()
+    replay = iter(fields)
+    next(replay), next(replay)
+    assert np.geterr() == before
+
+
+def _logged_integrate(monkeypatch, *args, **kwargs):
+    """integrate, with the (dt, ok) of every step of its own march."""
+    log = []
+
+    class Logged(evolve._Stepper):
+        def advance(self):
+            ok = super().advance()
+            log.append((self.dt, ok))
+            return ok
+
+    monkeypatch.setattr(evolve, "_Stepper", Logged)
+    traj = integrate(*args, **kwargs)
+    return traj, log[:]  # later replays log more steps
+
+
+def _stepped_fields(u0, sigma, steps, sample_every):
+    """Reference: a fresh _Stepper driven through the logged steps, with u copied after every
+    sample_every-th good step and after the last good one; a failed step is always the last."""
+    stepper = evolve._Stepper(u0.grid, sigma, steps[0][0])
+    stepper.load(np.fft.fft(u0.values))
+    good = sum(ok for _, ok in steps)
+    samples = [u0.values]
+    for n, (dt, _) in enumerate(steps[:good], 1):
+        stepper.set_dt(dt)
+        assert stepper.advance()
+        if n % sample_every == 0 or n == good:
+            samples.append(stepper.u.copy())
+    return samples
+
+
+def test_fixed_step_fields_replay_the_run_that_ends_at_their_record():
+    # 3e-3 does not divide T: 16 steps and a shortened 17th, recorded at steps 0, 5, 10, 15 and 17
+    g = Grid(60.0, 256)
+    phi = profile_phi(SolitonSpec(1.0, 1.0, 0.5), g)
+    p = Params(1.0, 1.0, 0.5)
+    traj = integrate(phi, SchemeConfig(dt=3e-3, T=0.05), p, sample_every=5)
+    assert [round(t / 3e-3, 6) for t in traj.times[:-1]] == [0, 5, 10, 15] and traj.times[-1] == 0.05
+    for f, r in zip(list(traj.fields)[1:-1], traj.records[1:-1]):
+        shorter = integrate(phi, SchemeConfig(dt=3e-3, T=r.t), p)
+        assert shorter.times[-1] == r.t
+        assert np.array_equal(f.values, shorter.final.values)
+    # the shortened last step, and every other sample, from a stepper driven through the 17 steps
+    want = _stepped_fields(phi, p.sigma, [(3e-3, True)] * 16 + [(0.05 - 16 * 3e-3, True)], 5)
+    assert len(want) == len(traj.fields) == 5
+    assert all(np.array_equal(f.values, w) for f, w in zip(traj.fields, want))
+
+
+@pytest.mark.parametrize("case", ["adaptive", "blowup-on-a-sampled-step", "growth-cap"])
+def test_replayed_fields_match_a_stepper_driven_through_the_run(case, monkeypatch):
+    if case == "blowup-on-a-sampled-step":
+        # a 1.5x soliton at dt = 0.05 leaves the finite range on its 7th step, recorded every step
+        g = Grid(60.0, 256)
+        phi = profile_phi(SolitonSpec(1.0, 1.0, 0.0), g)
+        u0, cfg, p, every = phi.with_values(1.5 * phi.values), SchemeConfig(0.05, 3.0), Params(1.0, 1.0, 0.0), 1
+    else:
+        # the sigma = 3 collapse datum: the CFL cap shrinks dt until the 400-step budget binds
+        g = Grid(60.0, 512)
+        phi = profile_phi(SolitonSpec(3.0, 1.0, 0.0), g)
+        u0, p = phi.with_values(3.0 * phi.values), Params(3.0, 1.0, 0.0)
+        cfg, every = SchemeConfig(1e-3, 0.02, adaptive=True), 7
+        if case == "growth-cap":
+            monkeypatch.setattr(evolve, "_AMPLITUDE_CAP", 2.0)
+            cfg, every = SchemeConfig(1e-3, 0.2, adaptive=True), 10
+    traj, steps = _logged_integrate(monkeypatch, u0, cfg, p, sample_every=every)
+    assert traj.blowup == (case != "adaptive")
+    assert steps[-1][1] == (case != "blowup-on-a-sampled-step")
+    if cfg.adaptive:
+        assert len({dt for dt, _ in steps}) > 1
+    want = _stepped_fields(u0, p.sigma, steps, every)
+    fields = list(traj.fields)
+    assert len(fields) == len(want) == len(traj.records) > 2
+    assert all(np.array_equal(f.values, w) for f, w in zip(fields, want))
